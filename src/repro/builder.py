@@ -1,7 +1,6 @@
 """Fluent stack-spec builder: the front door for composing LabStacks.
 
-Replaces the keyword-soup ``fs_stack_spec``/``kvs_stack_spec`` facade
-methods with a chainable builder::
+A chainable builder::
 
     stack = (
         system.stack("/labfs")
@@ -14,9 +13,9 @@ methods with a chainable builder::
 
 ``build()`` returns the :class:`~repro.core.labstack.StackSpec` (for
 callers that inspect or tweak specs before mounting); ``mount()`` builds
-and mounts in one step.  The builder produces *byte-identical* specs to
-the deprecated facade methods — the old methods now delegate here, and a
-regression test pins ``repr(old) == repr(new)``.
+and mounts in one step.  ``LabStorSystem.mount_fs_stack``/
+``mount_kvs_stack`` map their keyword arguments onto this builder, and a
+regression test pins the resulting specs against hand-written chains.
 
 Validation is eager where possible (unknown variant fails at ``.fs()``)
 and otherwise collected at ``build()`` (unknown device names list the

@@ -1,4 +1,4 @@
-"""Per-node cluster views and the par-capable scenario programs.
+"""Per-node cluster views and the multi-world programs.
 
 The sharded runner (:mod:`repro.sim.par`) gives every node its own
 private Environment; this module supplies the cluster-side half of that
@@ -38,6 +38,7 @@ from typing import Any, Optional
 from ..core.runtime import RuntimeConfig
 from ..errors import FabricError, LabStorError
 from ..kernel.cpu import DEFAULT_COST, CostModel
+from ..sim.par import Program
 from ..units import msec, usec
 from .builder import Cluster
 from .fabric import DEFAULT_FABRIC_COST, FabricCost, FabricLink
@@ -48,7 +49,8 @@ from .routing import RemoteRoute, RouteExecutor
 __all__ = [
     "StackDecl", "NodeDecl", "LinkDecl", "ClusterSpec", "ParClusterView",
     "SpecParProgram", "ClusterParProgram", "ControlParProgram",
-    "E14ParProgram", "CallbackParProgram", "ParHandle", "PAR_SCENARIOS",
+    "E14ParProgram", "CallbackParProgram", "ParHandle", "failover_story",
+    "assert_nic_conservation",
 ]
 
 
@@ -311,15 +313,14 @@ class ParClusterView:
 # ----------------------------------------------------------------------
 # programs
 # ----------------------------------------------------------------------
-class SpecParProgram:
+class SpecParProgram(Program):
     """Base for spec-driven parallel programs: owns the ClusterSpec and
     the world -> view construction; subclasses add drivers and checks."""
 
     epoch_ns = int(msec(1))
-    min_virtual_ns = 0
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
+        super().__init__(seed)
         self.spec = self.make_spec()
 
     def make_spec(self) -> ClusterSpec:
@@ -339,9 +340,6 @@ class SpecParProgram:
     def setup(self, view: ParClusterView) -> None:
         pass
 
-    def drivers(self, world):
-        return []
-
     def finish(self, world) -> dict:
         view = world.ctx
         out = view.stats()
@@ -349,7 +347,25 @@ class SpecParProgram:
         return out
 
 
-def _assert_nic_conservation(view: ParClusterView) -> None:
+def failover_story(kvs, env, seed: int, nkeys: int):
+    """The "cluster" driver, serial and sharded: cross-fabric puts, ride
+    past the 3 ms power cut, read through the outage, then let straggler
+    replica branches (timeouts, crash ride-outs) settle so the failover
+    count is not racing teardown.  Returns the read hits."""
+    for i in range(nkeys):
+        yield from kvs.put(f"det{i}", bytes([(i + seed) % 251]) * 96)
+    if env.now < msec(3):
+        yield env.timeout(int(msec(3)) - env.now + int(usec(100)))
+    hits = 0
+    for i in range(nkeys):
+        if (yield from kvs.get(f"det{i}")) == bytes([(i + seed) % 251]) * 96:
+            hits += 1
+    yield env.timeout(int(msec(2)))
+    return hits
+
+
+def assert_nic_conservation(view) -> None:
+    """Every NIC queue pair of a view (or serial Cluster) drained."""
     for (s, d), r in sorted(view._routes.items()):
         qp = r.qp
         assert qp.submitted_total == qp.completed_total, (
@@ -365,6 +381,7 @@ class ClusterParProgram(SpecParProgram):
     barrier (the in-flight replica op on ``b`` rides out the crash and
     comes back as a timestamped NACK message in a later round)."""
 
+    name = "cluster-par"
     nkeys = 18
 
     def make_spec(self) -> ClusterSpec:
@@ -389,20 +406,8 @@ class ClusterParProgram(SpecParProgram):
         return [("cluster.driver", self._drive(world.ctx))]
 
     def _drive(self, view: ParClusterView):
-        kvs, env, seed, nkeys = view.kvs, view.env, self.seed, self.nkeys
-        for i in range(nkeys):
-            yield from kvs.put(f"det{i}", bytes([(i + seed) % 251]) * 96)
-        # ride past the power cut, then read through the outage
-        if env.now < msec(3):
-            yield env.timeout(int(msec(3)) - env.now + int(usec(100)))
-        hits = 0
-        for i in range(nkeys):
-            if (yield from kvs.get(f"det{i}")) == bytes([(i + seed) % 251]) * 96:
-                hits += 1
-        # let straggler replica branches (timeouts, crash ride-outs)
-        # resolve so the failover count is settled, not racing teardown
-        yield env.timeout(int(msec(2)))
-        view.hits = hits
+        view.hits = yield from failover_story(view.kvs, view.env, self.seed,
+                                              self.nkeys)
 
     def finish(self, world) -> dict:
         view = world.ctx
@@ -418,7 +423,7 @@ class ClusterParProgram(SpecParProgram):
             out["hits"] = view.hits
             out["failovers"] = view.kvs.failovers
         view.shutdown()
-        _assert_nic_conservation(view)
+        assert_nic_conservation(view)
         return out
 
     def reduce(self, results: dict) -> dict:
@@ -438,19 +443,19 @@ class ClusterParProgram(SpecParProgram):
         }
 
 
-class ControlParProgram:
+class ControlParProgram(Program):
     """The "control" scenario sharded: two independent chaos-control
     deployments (open-loop tenants, fault plan, self-healing daemon) on
     their own nodes, plus a cross-node KVS exchange so every barrier
     round carries real fabric traffic — including NACKs while the peer
     rides out its 6 ms power cut."""
 
-    min_virtual_ns = 0
+    name = "control-par"
     names = ("ctl0", "ctl1")
 
     def __init__(self, seed: int = 0, *,
                  duration_ns: int = int(msec(8))) -> None:
-        self.seed = seed
+        super().__init__(seed)
         self.duration_ns = int(duration_ns)
         self._cost = FabricCost()
         # the YCSB preload advances the clock during build; 2 ms clears
@@ -568,6 +573,8 @@ class E14ParProgram(SpecParProgram):
     whose larger propagation delay buys the runner wide windows (many
     whole KVS ops per barrier)."""
 
+    name = "e14"
+
     def __init__(self, seed: int = 0, *, nnodes: int = 4, replicas: int = 1,
                  nclients: int = 96, ops_per_client: int = 16,
                  value_size: int = 256, vnodes: int = 64,
@@ -624,7 +631,7 @@ class E14ParProgram(SpecParProgram):
             "failovers": view.kvs.failovers,
         }
         view.shutdown()
-        _assert_nic_conservation(view)
+        assert_nic_conservation(view)
         return out
 
     def reduce(self, results: dict) -> dict:
@@ -677,15 +684,13 @@ class CallbackParProgram(SpecParProgram):
         finish=None,
         reduce=None,
         epoch_ns: int = int(msec(1)),
-        min_virtual_ns: int = 0,
     ) -> None:
-        self.seed = spec.seed
+        Program.__init__(self, spec.seed)
         self.spec = spec
         self._drivers = drivers
         self._setup = setup
         self._finish = finish
         self.epoch_ns = int(epoch_ns)
-        self.min_virtual_ns = int(min_virtual_ns)
         if reduce is not None:
             self.reduce = reduce
 
@@ -726,10 +731,6 @@ class ParHandle:
     def lookahead_ns(self) -> Optional[int]:
         return self.spec.lookahead_ns()
 
-    def program(self, **kw) -> CallbackParProgram:
-        """Assemble the program without running it (for run_program)."""
-        return CallbackParProgram(self.spec, **kw)
-
     def run(
         self,
         *,
@@ -738,24 +739,16 @@ class ParHandle:
         finish=None,
         reduce=None,
         epoch_ns: int = int(msec(1)),
-        min_virtual_ns: int = 0,
         trace: bool = False,
     ):
         from ..sim.par import run_program
 
-        program = self.program(
-            drivers=drivers, setup=setup, finish=finish, reduce=reduce,
-            epoch_ns=epoch_ns, min_virtual_ns=min_virtual_ns,
+        program = CallbackParProgram(
+            self.spec, drivers=drivers, setup=setup, finish=finish,
+            reduce=reduce, epoch_ns=epoch_ns,
         )
         return run_program(program, shards=self.shards, trace=trace)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"<ParHandle nodes={self.spec.node_names()} "
                 f"shards={self.shards}>")
-
-
-PAR_SCENARIOS = {
-    "cluster": ClusterParProgram,
-    "control": ControlParProgram,
-    "e14": E14ParProgram,
-}

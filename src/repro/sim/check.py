@@ -1,17 +1,19 @@
-"""Determinism checker: replay a scenario and compare trace hashes.
+"""Determinism checker: replay a program and compare trace hashes.
 
-The reproducibility contract of the DES kernel is that a seeded scenario
+The reproducibility contract of the DES kernel is that a seeded program
 always produces the same event stream.  This module makes that claim
-testable: it runs a named scenario twice in the same process, hashes every
-trace event (spans plus the sanitizer's ``san.*`` kernel audit stream),
-and reports whether the two digests match — alongside the sanitizer's
+testable: it runs a registered program (``repro.snap.programs.PROGRAMS``)
+twice in the same process, hashes every trace event (spans plus, for
+one-world programs, the sanitizer's ``san.*`` kernel audit stream), and
+reports whether the two digests match — alongside the sanitizer's
 invariant report for each run.
 
 Usage::
 
-    python -m repro.sim.check                    # all scenarios, twice each
-    python -m repro.sim.check quickstart         # one scenario
+    python -m repro.sim.check                    # every program, twice each
+    python -m repro.sim.check quickstart         # one program
     python -m repro.sim.check --list
+    python -m repro.sim.check cluster-par --shards 1,2,4   # multi-world only
 
 or from a test via the ``determinism_check`` pytest fixture
 (``tests/conftest.py``).
@@ -22,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import sys
-from typing import Any, Callable
+from typing import Any
 
 from .core import Environment
 from .sanitizer import Sanitizer
@@ -33,8 +35,7 @@ __all__ = [
     "AuditRun",
     "CounterScope",
     "reset_global_counters",
-    "run_scenario",
-    "SCENARIOS",
+    "audit_program",
     "main",
 ]
 
@@ -84,12 +85,12 @@ class TraceHasher:
 
 
 class AuditRun:
-    """One sanitized, hashed scenario execution.
+    """One sanitized, hashed program execution.
 
-    A scenario receives the AuditRun, builds its environment, calls
-    :meth:`attach` *before* driving any simulation, and runs.  Afterwards
-    :attr:`digest` is the trace hash and :meth:`finish` yields the
-    sanitizer's teardown report.
+    The serial runner (:func:`repro.snap.replay.straight_run`) calls
+    :meth:`attach` on the world's Environment *before* building the
+    program.  Afterwards :attr:`digest` is the trace hash and
+    :meth:`finish` yields the sanitizer's teardown report.
     """
 
     def __init__(self, strict: bool = True, arm_at_ns: int | None = None) -> None:
@@ -113,7 +114,6 @@ class AuditRun:
 
 #: every module-global identity counter: (module, attribute, start)
 _COUNTER_SITES = (
-    ("repro.system", "_uuid_seq", 1),
     ("repro.builder", "_uuid_seq", 1),
     ("repro.core.client", "_pids", 1000),
     ("repro.core.labstack", "_stack_ids", 1),
@@ -137,7 +137,7 @@ def reset_global_counters() -> None:
 
     Request/queue/segment/stack ids come from process-global counters, and
     process names (hashed via ``san.step``) embed them — so back-to-back
-    runs of one scenario must start from identical counter state to be
+    runs of one program must start from identical counter state to be
     comparable.
     """
     for module, attr, start in _counter_modules():
@@ -165,243 +165,41 @@ class CounterScope:
             setattr(module, attr, counter)
 
 
-# ----------------------------------------------------------------------
-# scenarios
-# ----------------------------------------------------------------------
-def _scenario_quickstart(audit: AuditRun) -> dict[str, Any]:
-    """The README quickstart: mount Lab-All, write + read one file."""
-    from ..mods.generic_fs import GenericFS
-    from ..system import LabStorSystem
+def audit_program(program, strict: bool = True) -> tuple[str, dict[str, Any]]:
+    """Run a :class:`~repro.sim.par.Program` once on the runner its world
+    count picks; returns ``(digest, report)``.
 
-    env = Environment()
-    audit.attach(env)
-    system = LabStorSystem(env=env, devices=("nvme",))
-    system.mount_fs_stack("fs::/demo", variant="all")
-    gfs = GenericFS(system.client())
-    payload = b"determinism is a feature " * 160  # ~4KB
+    One world runs on the audited serial path: the report is the
+    sanitizer's, plus ``result`` and ``trace_events``.  Several worlds run
+    in-process under :func:`~repro.sim.par.run_program` with trace
+    collection: the digest is the merged one, ``result`` the reduced
+    value, and no sanitizer is armed (``checks`` is empty).
+    """
+    if len(program.nodes()) == 1:
+        from ..snap.replay import straight_run
 
-    def go():
-        fd = yield from gfs.open("fs::/demo/hello.txt", create=True)
-        yield from gfs.write(fd, payload, offset=0)
-        data = yield from gfs.read(fd, len(payload), offset=0)
-        yield from gfs.fsync(fd)
-        yield from gfs.close(fd)
-        return data
+        out = straight_run(program, strict=strict)
+        return out.digest, dict(out.report, result=out.result,
+                                trace_events=out.trace_events)
+    from .par import run_program
 
-    data = system.run(system.process(go()))
-    assert data == payload, "quickstart round-trip mismatch"
-    return {"bytes": len(payload), "stats": system.runtime.stats()}
-
-
-def _scenario_orchestration(audit: AuditRun) -> dict[str, Any]:
-    """Dynamic-policy scaling: a heavy wave then a light one, so the
-    orchestrator both spawns and decommissions workers (the scale-in
-    path this PR fixed)."""
-    import numpy as np
-
-    from ..core import RuntimeConfig, StackSpec
-    from ..system import LabStorSystem
-    from ..units import msec
-    from ..workloads.fio import FioJob, FioResult, LabStackEngine, _job_proc
-
-    env = Environment()
-    audit.attach(env)
-    system = LabStorSystem(
-        env=env,
-        devices=("nvme",),
-        config=RuntimeConfig(nworkers=1, policy="dynamic", max_workers=6,
-                             orchestrator_interval_ns=msec(1.0)),
-    )
-    spec = StackSpec.linear("blk::/w", [("NoOpSchedMod", "chk.noop"),
-                                        ("KernelDriverMod", "chk.drv")])
-    spec.nodes[0].attrs = {"nqueues": 8}
-    spec.nodes[1].attrs = {"device": "nvme"}
-    stack = system.runtime.mount_stack(spec)
-    engines = [LabStackEngine(system.client(), stack, system.devices["nvme"])
-               for _ in range(4)]
-
-    def wave(engs, ops):
-        result = FioResult()
-        procs = [
-            system.process(_job_proc(env, e, FioJob(rw="randwrite", bs=4096, nops=ops, core=i),
-                                     np.random.default_rng(i), result, b"x" * 4096))
-            for i, e in enumerate(engs)
-        ]
-        system.run(env.all_of(procs))
-
-    wave(engines, 150)      # heavy: the pool scales out
-    wave(engines[:1], 250)  # light: the pool scales back in
-    orch = system.runtime.orchestrator
-    return {"workers": orch.worker_count(), "rebalances": orch.rebalances}
-
-
-def _scenario_kvs(audit: AuditRun) -> dict[str, Any]:
-    """LabKVS put/get churn through the Runtime's workers."""
-    from ..mods.generic_kvs import GenericKVS
-    from ..system import LabStorSystem
-
-    env = Environment()
-    audit.attach(env)
-    system = LabStorSystem(env=env, devices=("nvme",))
-    system.mount_kvs_stack("kvs::/x", variant="all")
-    kvs = GenericKVS(system.client(), "kvs::/x")
-
-    def go():
-        for i in range(48):
-            yield from kvs.put(f"key{i % 12}", bytes([i % 251]) * (64 + 16 * (i % 7)))
-        hits = 0
-        for i in range(12):
-            if (yield from kvs.get(f"key{i}")) is not None:
-                hits += 1
-        return hits
-
-    hits = system.run(system.process(go()))
-    assert hits == 12, f"kvs round-trip lost keys ({hits}/12)"
-    return {"hits": hits}
-
-
-def _scenario_faults(audit: AuditRun) -> dict[str, Any]:
-    """Chaos under audit: probabilistic media errors + queue rejections +
-    a worker crash + a power cut with auto-restart, driven against a
-    retrying GenericFS.  Every injection draws from the seeded "faults"
-    RNG stream, so the whole storm must replay digest-identical.
-    (Delegates to :class:`repro.snap.programs.FaultsProgram`, which the
-    replay-to-point property tests also drive.)"""
-    from ..snap.programs import FaultsProgram
-    from ..snap.replay import drive_program
-
-    return drive_program(FaultsProgram(), audit)
-
-
-def _scenario_batching(audit: AuditRun) -> dict[str, Any]:
-    """The batching fast path end to end: vectored writev/readv waves ride
-    Client.submit_batch through worker batch-pop, BatchSchedMod merging and
-    device-level coalescing, so every batch-conservation invariant
-    (san.qp batch counters + san.batch settle records) gets exercised."""
-    from ..snap.programs import BatchingProgram
-    from ..snap.replay import drive_program
-
-    return drive_program(BatchingProgram(), audit)
-
-
-def _scenario_openloop(audit: AuditRun) -> dict[str, Any]:
-    """Open-loop tenant traffic under overload: the canonical two-tenant
-    population (diurnal YCSB-C frontend + bursty YCSB-A analytics) at 2.5x
-    nominal load behind queue-depth admission.  Every arrival, key choice
-    and op-mix draw comes from the seeded per-tenant streams, so the whole
-    storm — admissions, rejections, queue growth, drain — must replay
-    digest-identical."""
-    from ..traffic.engine import QueueDepthAdmission
-    from ..traffic.presets import build_overload_engine
-    from ..units import msec
-
-    env = Environment()
-    audit.attach(env)
-    system, engine = build_overload_engine(
-        env=env, duration_ns=msec(1.5), load=2.5,
-        policy=QueueDepthAdmission(8),
-    )
-    summary = engine.run()
-    tot = summary["totals"]
-    assert tot["completed"] > 0, "open-loop run completed no ops"
-    assert tot["completed"] == tot["launched"], "drain lost in-flight ops"
-    assert tot["rejected"] > 0, "overload never tripped admission control"
-    assert engine.inflight == 0, "inflight accounting leaked"
-    return {
-        "launched": tot["launched"],
-        "good": tot["good"],
-        "violations": tot["violations"],
-        "rejected": tot["rejected"],
-        "peak_inflight": summary["peak_inflight"],
-        "elapsed_ns": summary["elapsed_ns"],
-    }
-
-
-def _scenario_cluster(audit: AuditRun) -> dict[str, Any]:
-    """Cluster-scale determinism: a 3-node sharded+replicated KVS doing
-    cross-fabric puts, then a fault-plan power cut killing one replica
-    node mid-run, then failover reads off the survivors.  NIC queue
-    pairs, fabric links, replica fan-out, crash ride-out and quorum
-    accounting all land in one digest."""
-    from ..snap.programs import ClusterProgram
-    from ..snap.replay import drive_program
-
-    return drive_program(ClusterProgram(), audit)
-
-
-def _scenario_control(audit: AuditRun) -> dict[str, Any]:
-    """Closed-loop control under chaos: the canonical 2-worker KVS storm
-    (two worker crashes with inline respawn off, an unattended power cut,
-    a latency tax, a device stall) steered by a ControlDaemon — healer,
-    retry-tuner and worker-scaler acting through hysteresis-gated
-    actuator seams.  Every control draw comes from the seeded "ctl"
-    stream and every repair flows through declared actuators, so sample →
-    check → actuate must replay digest-identical."""
-    from ..ctl.presets import build_chaos_control
-
-    env = Environment()
-    audit.attach(env)
-    system, engine, daemon = build_chaos_control(env=env)
-    summary = engine.run()
-    tot = summary["totals"]
-    assert daemon is not None and daemon.ticks > 0, "daemon never ticked"
-    assert daemon.actions_taken > 0, "chaos storm provoked no repairs"
-    assert system.runtime.online, "daemon failed to restart the runtime"
-    assert not system.runtime.orchestrator.dead_workers, \
-        "daemon left crashed workers dead"
-    assert tot["completed"] > 0, "controlled run completed no ops"
-    return {
-        "launched": tot["launched"],
-        "good": tot["good"],
-        "rejected": tot["rejected"],
-        "ticks": daemon.ticks,
-        "actions": daemon.actions_taken,
-        "suppressed": daemon.actuators.suppressed,
-    }
-
-
-SCENARIOS: dict[str, Callable[[AuditRun], dict[str, Any]]] = {
-    "quickstart": _scenario_quickstart,
-    "orchestration": _scenario_orchestration,
-    "kvs": _scenario_kvs,
-    "faults": _scenario_faults,
-    "batching": _scenario_batching,
-    "openloop": _scenario_openloop,
-    "cluster": _scenario_cluster,
-    "control": _scenario_control,
-}
-
-
-def run_scenario(name: str, strict: bool = True) -> tuple[str, dict[str, Any]]:
-    """Run one scenario under the sanitizer; returns (digest, report)."""
-    if name not in SCENARIOS:
-        raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
-    reset_global_counters()
-    audit = AuditRun(strict=strict)
-    result = SCENARIOS[name](audit)
-    report = audit.finish()
-    report["result"] = result
-    report["trace_events"] = audit.hasher.count
-    return audit.digest, report
+    res = run_program(program, trace=True)
+    return res.digest, {"result": res.reduced, "trace_events": res.merged_events,
+                        "checks": {}, "violations": []}
 
 
 def _main_shards(names: list[str], shards: list[int], seed: int) -> int:
-    """``--shards`` mode: run each par-capable scenario once per shard
+    """``--shards`` mode: run each multi-world program once per shard
     count under the sharded runner and require every merged digest to be
-    byte-identical to the ``shards=1`` baseline."""
-    from ..cluster.par import PAR_SCENARIOS
+    byte-identical to the first count's."""
+    from ..snap.programs import PROGRAMS
     from .par import run_program
 
-    unknown = [n for n in names if n not in PAR_SCENARIOS]
-    if unknown:
-        print(f"not par-capable: {', '.join(unknown)}; "
-              f"par scenarios: {sorted(PAR_SCENARIOS)}", file=sys.stderr)
-        return 2
     failed = False
     for name in names:
         digests = {}
         for n in shards:
-            res = run_program(PAR_SCENARIOS[name](seed), shards=n, trace=True)
+            res = run_program(PROGRAMS[name](seed), shards=n, trace=True)
             digests[n] = (res.digest, res.merged_events)
         base, base_events = digests[shards[0]]
         ok = all(d == base for d, _ in digests.values())
@@ -415,58 +213,50 @@ def _main_shards(names: list[str], shards: list[int], seed: int) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str]) -> int:
-    if "--list" in argv:
-        print("\n".join(SCENARIOS))
+def shard_counts(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
+def main(argv: list[str] | None = None) -> int:
+    import argparse
+
+    from ..snap.programs import PROGRAMS, registered
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.sim.check",
+        description="Run registered programs twice each and compare their "
+                    "trace digests; with --shards, once per shard count.",
+    )
+    parser.add_argument("programs", nargs="*", metavar="program",
+                        help="registry entries to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the registry")
+    parser.add_argument("--strict", action="store_true",
+                        help="raise on the first sanitizer violation")
+    parser.add_argument("--shards", type=shard_counts, metavar="1,2,4",
+                        help="compare merged digests across these shard counts")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    if args.list:
+        print("\n".join(PROGRAMS))
         return 0
-    strict = "--strict" in argv
-    shards: list[int] | None = None
-    seed = 0
-    argv = list(argv)
-    if "--shards" in argv:
-        i = argv.index("--shards")
-        try:
-            shards = [int(s) for s in argv[i + 1].split(",")]
-        except (IndexError, ValueError):
-            print("--shards needs a comma-separated int list, e.g. "
-                  "--shards 1,2,4", file=sys.stderr)
-            return 2
-        del argv[i:i + 2]
-    if "--seed" in argv:
-        i = argv.index("--seed")
-        try:
-            seed = int(argv[i + 1])
-        except (IndexError, ValueError):
-            print("--seed needs an integer", file=sys.stderr)
-            return 2
-        del argv[i:i + 2]
-    bad_flags = [a for a in argv if a.startswith("-") and a != "--strict"]
-    if bad_flags:
-        print(f"unknown option(s): {', '.join(bad_flags)}; "
-              f"usage: check [--list] [--strict] [--shards 1,2,4] "
-              f"[--seed N] [scenario ...]", file=sys.stderr)
-        return 2
-    if shards is not None:
-        names = [a for a in argv if not a.startswith("-")]
-        if not names:
-            print("--shards needs explicit scenario name(s), e.g. "
-                  "check cluster --shards 1,2,4", file=sys.stderr)
-            return 2
-        return _main_shards(names, shards, seed)
-    names = [a for a in argv if not a.startswith("-")] or list(SCENARIOS)
-    unknown = [n for n in names if n not in SCENARIOS]
+    unknown = [n for n in args.programs if n not in PROGRAMS]
     if unknown:
-        print(f"unknown scenario(s): {', '.join(unknown)}; try --list", file=sys.stderr)
-        return 2
+        parser.error(f"unknown program(s): {', '.join(unknown)}; try --list")
+    if args.shards is not None:
+        multi = registered(multi_world=True)
+        if not args.programs or any(n not in multi for n in args.programs):
+            parser.error(f"--shards takes multi-world programs: {', '.join(multi)}")
+        return _main_shards(args.programs, args.shards, args.seed)
     failed = False
-    for name in names:
-        d1, r1 = run_scenario(name, strict=strict)
-        d2, r2 = run_scenario(name, strict=strict)
+    for name in args.programs or PROGRAMS:
+        d1, r1 = audit_program(PROGRAMS[name](args.seed), strict=args.strict)
+        d2, r2 = audit_program(PROGRAMS[name](args.seed), strict=args.strict)
         ok = d1 == d2 and not r1["violations"] and not r2["violations"]
         failed |= not ok
-        verdict = "ok" if ok else "FAIL"
-        print(f"[{verdict}] {name}: {r1['trace_events']} trace events, "
-              f"{sum(r1['checks'].values())} invariant checks")
+        checks = (f", {sum(r1['checks'].values())} invariant checks" if r1["checks"]
+                  else " (merged)")
+        print(f"[{'ok' if ok else 'FAIL'}] {name}: {r1['trace_events']} trace events{checks}")
         print(f"       run 1: {d1}")
         print(f"       run 2: {d2}{'' if d1 == d2 else '   <-- NON-DETERMINISTIC'}")
         for i, rep in enumerate((r1, r2), 1):

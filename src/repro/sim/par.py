@@ -30,7 +30,7 @@ Because each node-Environment sees an identical event stream at every
 shard count (same build, same epoch alignment, same injected messages
 at the same barriers), the per-node trace streams are identical — and
 the merged digest (ordered by ``(time, node, seq)``) is byte-identical
-by construction.  ``python -m repro.sim.check cluster --shards 1,2,4``
+by construction.  ``python -m repro.sim.check cluster-par --shards 1,2,4``
 pins that claim in CI.
 
 Safety sketch (see DESIGN.md "Parallel simulation" for the full
@@ -53,6 +53,7 @@ from .core import Environment
 from .trace import TraceEvent
 
 __all__ = [
+    "Program",
     "ParMessage",
     "OutPort",
     "TraceCollector",
@@ -68,6 +69,68 @@ TIME_SENTINEL = 2**63
 
 #: runaway-window backstop (a real run is O(duration / lookahead))
 MAX_ROUNDS = 2_000_000
+
+
+class Program:
+    """One runnable scenario: the protocol every registry entry speaks.
+
+    A program declares the worlds it runs in (``nodes()``, one by
+    default), builds each world's context, names the driver processes
+    each world starts, and reports each world's result::
+
+        world.ctx = program.build(world)      # per world
+        program.drivers(world)                # [(process name, generator)]
+        ...                                   # the runner advances time
+        program.finish(world)                 # per world: asserts + dict
+        program.reduce({node: result})        # several worlds: fold them
+
+    The world count picks the runner.  A one-world program runs on the
+    audited serial path (:func:`repro.snap.replay.straight_run`): its
+    drivers are joined and ``finish`` reports the run, and it can be
+    snapshotted at ``pause_point(world)``.  A multi-world program runs
+    under :func:`run_program`, which aligns every world to ``epoch_ns``
+    and advances them in ``lookahead_ns()`` windows.
+    """
+
+    name = "program"
+    #: where multi-world runs start their drivers (see ParWorld.align)
+    epoch_ns = 0
+    #: the default snapshot pause: a virtual timestamp strictly inside
+    #: the run (``None``: snapshots need an explicit ``at_ns``)
+    default_pause_ns: Optional[int] = None
+
+    def __init__(self, seed: int = 0) -> None:
+        self.seed = seed
+
+    def nodes(self) -> list[str]:
+        return [self.name]
+
+    def lookahead_ns(self) -> Optional[int]:
+        return None
+
+    def build(self, world) -> Any:
+        raise NotImplementedError
+
+    def pause_point(self, world) -> Optional[int]:
+        """The default snapshot pause, resolved once the world is built
+        (programs whose build advances the clock override this)."""
+        return self.default_pause_ns
+
+    def target(self, world):
+        """The deployment a snapshot captures (system or cluster)."""
+        return world.ctx.system
+
+    def drivers(self, world) -> list:
+        return []
+
+    def finish(self, world) -> Any:
+        return {}
+
+    def reduce(self, results: dict) -> Any:
+        return results
+
+    def __repr__(self) -> str:  # pragma: no cover - diagnostics
+        return f"{type(self).__name__}(seed={self.seed})"
 
 
 class ParMessage:
@@ -499,8 +562,7 @@ def merge_digest(streams: dict[str, list[tuple[int, int, str]]]) -> tuple[str, i
     return h.hexdigest(), len(merged)
 
 
-def run_program(program, *, shards: int = 1, trace: bool = False,
-                reset_counters: bool = True) -> ParResult:
+def run_program(program, *, shards: int = 1, trace: bool = False) -> ParResult:
     """Execute a parallel program across ``shards`` OS processes.
 
     ``shards=1`` hosts every node-world in this process — identical
@@ -514,14 +576,12 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
         raise SimulationError(f"shards must be >= 1, got {shards}")
     shards = min(shards, len(names))
     lookahead = program.lookahead_ns()
-    min_virtual = getattr(program, "min_virtual_ns", 0)
 
     # node i -> shard i % N: a pure function of the sorted node list
     assignment = [names[i::shards] for i in range(shards)]
     shard_of = {n: i for i, part in enumerate(assignment) for n in part}
 
-    if reset_counters:
-        reset_global_counters()
+    reset_global_counters()
 
     wall0 = time.perf_counter()
     handles: list[Any] = []
@@ -543,7 +603,6 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
         messages = 0
         inboxes: list[list[ParMessage]] = [[] for _ in handles]
         done_ok = False
-        last_window = 0
         while True:
             if t_next >= TIME_SENTINEL:
                 if done_ok or rounds == 0:
@@ -556,7 +615,6 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
                     "program has cross-node traffic potential but no links "
                     "to derive a lookahead from")
             window = t_next + lookahead
-            last_window = window
             for h, inbox in zip(handles, inboxes):
                 h.post_step(inbox, window)
             replies = [h.wait() for h in handles]
@@ -585,7 +643,7 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
             messages += routed
             done_ok = (all_done and inflight == 0 and active == 0
                        and routed == 0)
-            if done_ok and (t_next >= TIME_SENTINEL or last_window >= min_virtual):
+            if done_ok:
                 break
 
         for h in handles:
@@ -619,11 +677,6 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
     if trace:
         digest, merged_events = merge_digest(streams)
 
-    reduced = None
-    reduce = getattr(program, "reduce", None)
-    if reduce is not None:
-        reduced = reduce(results)
-
     return ParResult(
         shards=shards,
         assignment=assignment,
@@ -634,7 +687,7 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
         shard_stats=shard_stats,
         events=sum(s["events"] for s in shard_stats),
         results=results,
-        reduced=reduced,
+        reduced=program.reduce(results),
         digest=digest,
         merged_events=merged_events,
     )
@@ -646,25 +699,32 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
 def main(argv: Optional[list[str]] = None) -> int:
     import argparse
 
+    from ..snap.programs import PROGRAMS, registered
+    from .check import audit_program
     from .profile import format_par_stats
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.par",
-        description="Run a par-capable scenario under the sharded runner.",
+        description="Run one registered program: a multi-world program "
+                    "under the sharded runner, a one-world program on the "
+                    "audited serial path.",
     )
-    parser.add_argument("scenario", help="par scenario name (cluster, control, e14)")
+    parser.add_argument("scenario", choices=list(PROGRAMS))
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-trace", action="store_true",
                         help="skip trace collection/digest (bench mode)")
     args = parser.parse_args(argv)
 
-    from ..cluster.par import PAR_SCENARIOS
-
-    if args.scenario not in PAR_SCENARIOS:
-        parser.error(f"unknown scenario {args.scenario!r}; "
-                     f"known: {sorted(PAR_SCENARIOS)}")
-    program = PAR_SCENARIOS[args.scenario](args.seed)
+    program = PROGRAMS[args.scenario](args.seed)
+    if len(program.nodes()) == 1:
+        if args.shards != 1:
+            parser.error(f"{args.scenario} runs one world; --shards takes a "
+                         f"multi-world program: {', '.join(registered(True))}")
+        digest, report = audit_program(program)
+        print(f"{args.scenario}: one world, audited serial run, "
+              f"{report['trace_events']} trace events, digest {digest}")
+        return 0
     res = run_program(program, shards=args.shards, trace=not args.no_trace)
     print(f"{args.scenario}: shards={res.shards} rounds={res.rounds} "
           f"messages={res.messages} events={res.events} "

@@ -20,12 +20,12 @@ module state, rewind, try a different fault.
 
 from .layers import SnapshotLayer, SnapshotStack
 from .programs import (
+    PROGRAMS,
     BatchingProgram,
     ClusterProgram,
     FaultsProgram,
     Program,
     UpgradeUnderLoadProgram,
-    program_named,
 )
 from .replay import (
     ReplaySnapshot,
@@ -44,11 +44,11 @@ __all__ = [
     "SystemSnapshot",
     "quiesce",
     "Program",
+    "PROGRAMS",
     "FaultsProgram",
     "BatchingProgram",
     "ClusterProgram",
     "UpgradeUnderLoadProgram",
-    "program_named",
     "ReplaySnapshot",
     "RestoredRun",
     "RunOutcome",

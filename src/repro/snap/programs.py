@@ -1,19 +1,27 @@
-"""Deterministic, seed-parameterized programs with a split-phase protocol.
+"""The registry of runnable programs: one protocol, one name-keyed dict.
 
-A :class:`Program` factors a ``repro.sim.check`` scenario into three
-phases so snapshot machinery can pause the clock between them::
+Every scenario the repository can run by name is a
+:class:`~repro.sim.par.Program` registered in :data:`PROGRAMS`; the
+determinism checker (``python -m repro.sim.check``, also ``--shards``),
+the snapshot machinery (:mod:`repro.snap.replay`, ``python -m
+repro.snap.report``), ``python -m repro.sim.par`` and the
+``determinism_check`` test fixture all read this one dict.
 
-    ctx   = program.build(env)      # construct system/cluster + workload
-    event = program.drive(ctx)      # start the main process, return its event
-    ...   = env.run(until=T)        # (snapshot seam: pause anywhere here)
-    value = env.run(until=event)
-    out   = program.finish(ctx, value)   # asserts + result dict
+The one-world programs live here; on the audited serial path they run
+as::
 
-The ``"faults"``, ``"batching"`` and ``"cluster"`` determinism scenarios
-in :mod:`repro.sim.check` delegate to the programs below with default
-parameters, so one definition serves both the determinism checker and
-the replay-to-point property tests.  ``seed`` perturbs the workload and
-system RNG streams: every seed is its own fully deterministic timeline.
+    world.ctx = program.build(world)     # system/cluster + workload
+    program.drivers(world)               # started as processes
+    ...                                  # (snapshot seam: pause anywhere)
+    ...                                  # run until every driver is done
+    out = program.finish(world)          # asserts + result dict
+
+The multi-world programs (``cluster-par``, ``control-par``, ``e14``)
+live in :mod:`repro.cluster.par` and run under the sharded runner.
+``seed`` perturbs the workload and system RNG streams: every seed is its
+own fully deterministic timeline.  Driver process names are hashed into
+the digest (``san.step``), so each driver keeps the name its scenario's
+digest was first pinned with (``"go"``, ``"_job_proc"``, ...).
 """
 
 from __future__ import annotations
@@ -21,56 +29,156 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Any
 
+from ..cluster.par import (
+    ClusterParProgram,
+    ControlParProgram,
+    E14ParProgram,
+    assert_nic_conservation,
+    failover_story,
+)
+from ..sim.par import Program
 from ..units import msec, usec
 
 __all__ = [
     "Program",
+    "QuickstartProgram",
+    "OrchestrationProgram",
+    "KvsProgram",
     "FaultsProgram",
     "BatchingProgram",
+    "OpenLoopProgram",
     "ClusterProgram",
+    "ControlProgram",
     "UpgradeUnderLoadProgram",
     "PROGRAMS",
-    "program_named",
+    "registered",
 ]
 
 
-class Program:
-    """Base protocol; subclasses define build/drive/finish."""
+class QuickstartProgram(Program):
+    """The README quickstart: mount Lab-All, write + read one file."""
 
-    name = "program"
-    #: a virtual timestamp strictly inside the run — the default
-    #: snapshot pause point (after build, before the main event fires)
-    default_pause_ns = 0
+    name = "quickstart"
+    default_pause_ns = int(usec(60))
+    payload = b"determinism is a feature " * 160  # ~4KB
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
+    def build(self, world) -> SimpleNamespace:
+        from ..mods.generic_fs import GenericFS
+        from ..system import LabStorSystem
 
-    def build(self, env) -> SimpleNamespace:
-        raise NotImplementedError
+        system = LabStorSystem(env=world.env, seed=self.seed, devices=("nvme",))
+        system.mount_fs_stack("fs::/demo", variant="all")
+        return SimpleNamespace(system=system, gfs=GenericFS(system.client()))
 
-    def drive(self, ctx):
-        raise NotImplementedError
+    def drivers(self, world):
+        return [("go", self._go(world.ctx))]
 
-    def finish(self, ctx, value) -> dict[str, Any]:
-        raise NotImplementedError
+    def _go(self, ctx):
+        gfs = ctx.gfs
+        fd = yield from gfs.open("fs::/demo/hello.txt", create=True)
+        yield from gfs.write(fd, self.payload, offset=0)
+        ctx.data = yield from gfs.read(fd, len(self.payload), offset=0)
+        yield from gfs.fsync(fd)
+        yield from gfs.close(fd)
 
-    def target(self, ctx):
-        """The deployment a snapshot captures (system or cluster)."""
-        return ctx.system
+    def finish(self, world) -> dict[str, Any]:
+        ctx = world.ctx
+        assert ctx.data == self.payload, "quickstart round-trip mismatch"
+        return {"bytes": len(self.payload), "stats": ctx.system.runtime.stats()}
 
-    def pause_point(self, ctx, env) -> int:
-        """Resolve the default pause timestamp once the run is built
-        (programs whose build phase advances the clock override this)."""
-        return self.default_pause_ns
 
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"{type(self).__name__}(seed={self.seed})"
+class OrchestrationProgram(Program):
+    """Dynamic-policy scaling: a heavy fio wave (the drivers) makes the
+    orchestrator spawn workers, then a light wave (run by ``finish``,
+    once the heavy one has joined) makes it decommission them again."""
+
+    name = "orchestration"
+    default_pause_ns = int(msec(1.5))
+
+    def build(self, world) -> SimpleNamespace:
+        from ..core import RuntimeConfig, StackSpec
+        from ..system import LabStorSystem
+        from ..workloads.fio import LabStackEngine
+
+        system = LabStorSystem(
+            env=world.env,
+            seed=self.seed,
+            devices=("nvme",),
+            config=RuntimeConfig(nworkers=1, policy="dynamic", max_workers=6,
+                                 orchestrator_interval_ns=msec(1.0)),
+        )
+        spec = StackSpec.linear("blk::/w", [("NoOpSchedMod", "chk.noop"),
+                                            ("KernelDriverMod", "chk.drv")])
+        spec.nodes[0].attrs = {"nqueues": 8}
+        spec.nodes[1].attrs = {"device": "nvme"}
+        stack = system.runtime.mount_stack(spec)
+        engines = [LabStackEngine(system.client(), stack, system.devices["nvme"])
+                   for _ in range(4)]
+        return SimpleNamespace(system=system, engines=engines)
+
+    def _wave(self, world, engines, ops):
+        import numpy as np
+
+        from ..workloads.fio import FioJob, FioResult, _job_proc
+
+        result = FioResult()
+        return [
+            ("_job_proc", _job_proc(world.env, e,
+                                    FioJob(rw="randwrite", bs=4096, nops=ops, core=i),
+                                    np.random.default_rng(i), result, b"x" * 4096))
+            for i, e in enumerate(engines)
+        ]
+
+    def drivers(self, world):
+        return self._wave(world, world.ctx.engines, 150)  # heavy: scale out
+
+    def finish(self, world) -> dict[str, Any]:
+        env, system = world.env, world.ctx.system
+        procs = [env.process(gen, name=name)
+                 for name, gen in self._wave(world, world.ctx.engines[:1], 250)]
+        system.run(env.all_of(procs))  # light: the pool scales back in
+        orch = system.runtime.orchestrator
+        return {"workers": orch.worker_count(), "rebalances": orch.rebalances}
+
+
+class KvsProgram(Program):
+    """LabKVS put/get churn through the Runtime's workers."""
+
+    name = "kvs"
+    default_pause_ns = int(usec(800))
+
+    def build(self, world) -> SimpleNamespace:
+        from ..mods.generic_kvs import GenericKVS
+        from ..system import LabStorSystem
+
+        system = LabStorSystem(env=world.env, seed=self.seed, devices=("nvme",))
+        system.mount_kvs_stack("kvs::/x", variant="all")
+        return SimpleNamespace(system=system,
+                               kvs=GenericKVS(system.client(), "kvs::/x"))
+
+    def drivers(self, world):
+        return [("go", self._go(world.ctx))]
+
+    def _go(self, ctx):
+        kvs = ctx.kvs
+        for i in range(48):
+            yield from kvs.put(f"key{i % 12}", bytes([i % 251]) * (64 + 16 * (i % 7)))
+        ctx.hits = 0
+        for i in range(12):
+            if (yield from kvs.get(f"key{i}")) is not None:
+                ctx.hits += 1
+
+    def finish(self, world) -> dict[str, Any]:
+        hits = world.ctx.hits
+        assert hits == 12, f"kvs round-trip lost keys ({hits}/12)"
+        return {"hits": hits}
 
 
 class FaultsProgram(Program):
     """The "faults" chaos storm: media errors + qp rejects + a worker
     crash + a power cut with auto-restart against a retrying GenericFS,
-    audited for crash consistency."""
+    audited for crash consistency.  Every injection draws from the
+    seeded "faults" RNG stream."""
 
     name = "faults"
     default_pause_ns = int(msec(1.2))
@@ -79,7 +187,7 @@ class FaultsProgram(Program):
         super().__init__(seed)
         self.nfiles = nfiles
 
-    def build(self, env) -> SimpleNamespace:
+    def build(self, world) -> SimpleNamespace:
         from ..faults import CrashConsistencyChecker, FaultPlan, FaultSpec, RetryPolicy
         from ..mods.generic_fs import GenericFS
         from ..system import LabStorSystem
@@ -93,7 +201,8 @@ class FaultsProgram(Program):
             FaultSpec(kind="torn_write", at=int(msec(2.0)), device="nvme", op="write"),
             FaultSpec(kind="power_cut", at=int(msec(2.0)), restart_after=int(msec(1.0))),
         )
-        system = LabStorSystem(env=env, seed=self.seed, devices=("nvme",), fault_plan=plan)
+        system = LabStorSystem(env=world.env, seed=self.seed, devices=("nvme",),
+                               fault_plan=plan)
         system.mount_fs_stack("fs::/chaos", variant="min")
         retry = RetryPolicy(max_attempts=6, timeout_ns=int(msec(50)))
         gfs = GenericFS(system.client(), retry=retry)
@@ -102,28 +211,26 @@ class FaultsProgram(Program):
             system=system, gfs=gfs, checker=checker, retry=retry,
         )
 
-    def drive(self, ctx):
-        system, gfs, checker = ctx.system, ctx.gfs, ctx.checker
+    def drivers(self, world):
+        return [("go", self._go(world.ctx))]
 
-        def go():
-            acked = 0
-            for i in range(self.nfiles):
-                path = f"fs::/chaos/f{i}"
-                data = bytes([(i + self.seed) % 251]) * 4096
-                checker.begin(path, data)
-                try:
-                    yield from gfs.write_file(path, data)
-                except Exception:  # noqa: BLE001 - gave up after retries: move on
-                    continue
-                checker.ack(path)
-                acked += 1
-            return acked
+    def _go(self, ctx):
+        gfs, checker = ctx.gfs, ctx.checker
+        ctx.acked = 0
+        for i in range(self.nfiles):
+            path = f"fs::/chaos/f{i}"
+            data = bytes([(i + self.seed) % 251]) * 4096
+            checker.begin(path, data)
+            try:
+                yield from gfs.write_file(path, data)
+            except Exception:  # noqa: BLE001 - gave up after retries: move on
+                continue
+            checker.ack(path)
+            ctx.acked += 1
 
-        return system.process(go())
-
-    def finish(self, ctx, value) -> dict[str, Any]:
-        system, retry = ctx.system, ctx.retry
-        acked = value
+    def finish(self, world) -> dict[str, Any]:
+        ctx = world.ctx
+        system, retry, acked = ctx.system, ctx.retry, ctx.acked
         report = system.run(system.process(ctx.checker.verify(ctx.gfs)))
         assert report["acked_ok"] == acked, "acknowledged write lost after recovery"
         engine = system.faults
@@ -140,19 +247,20 @@ class FaultsProgram(Program):
 class BatchingProgram(Program):
     """The "batching" fast path: vectored writev/readv waves through
     Client.submit_batch, worker batch-pop, BatchSchedMod merging and
-    device-level coalescing."""
+    device-level coalescing, so every batch-conservation invariant
+    (san.qp batch counters + san.batch settle records) is exercised."""
 
     name = "batching"
     default_pause_ns = int(usec(120))
 
-    def build(self, env) -> SimpleNamespace:
+    def build(self, world) -> SimpleNamespace:
         from ..core import RuntimeConfig
         from ..devices.profiles import DeviceSpec
         from ..mods.generic_fs import GenericFS
         from ..system import LabStorSystem
 
         system = LabStorSystem(
-            env=env,
+            env=world.env,
             seed=self.seed,
             devices=(DeviceSpec("nvme", coalesce_max=8, coalesce_window_ns=2000),),
             config=RuntimeConfig(nworkers=1, worker_batch_max=8),
@@ -167,26 +275,24 @@ class BatchingProgram(Program):
     def _chunk(self, wave: int, i: int) -> bytes:
         return bytes([(wave * 16 + i + self.seed) % 251]) * 4096
 
-    def drive(self, ctx):
-        system, gfs = ctx.system, ctx.gfs
+    def drivers(self, world):
+        return [("go", self._go(world.ctx))]
 
-        def go():
-            fd = yield from gfs.open("fs::/batch/vec.dat", create=True)
-            total = 0
-            for wave in range(4):
-                bufs = [self._chunk(wave, i) for i in range(8)]
-                counts = yield from gfs.writev(fd, bufs, offset=wave * 8 * 4096)
-                total += sum(counts)
-            yield from gfs.fsync(fd)
-            chunks = yield from gfs.readv(fd, [4096] * 32, offset=0)
-            yield from gfs.close(fd)
-            return total, chunks
+    def _go(self, ctx):
+        gfs = ctx.gfs
+        fd = yield from gfs.open("fs::/batch/vec.dat", create=True)
+        ctx.total = 0
+        for wave in range(4):
+            bufs = [self._chunk(wave, i) for i in range(8)]
+            counts = yield from gfs.writev(fd, bufs, offset=wave * 8 * 4096)
+            ctx.total += sum(counts)
+        yield from gfs.fsync(fd)
+        ctx.chunks = yield from gfs.readv(fd, [4096] * 32, offset=0)
+        yield from gfs.close(fd)
 
-        return system.process(go())
-
-    def finish(self, ctx, value) -> dict[str, Any]:
-        system = ctx.system
-        total, chunks = value
+    def finish(self, world) -> dict[str, Any]:
+        ctx = world.ctx
+        system, total, chunks = ctx.system, ctx.total, ctx.chunks
         assert total == 32 * 4096, f"writev short ({total} bytes)"
         for wave in range(4):
             for i in range(8):
@@ -204,21 +310,67 @@ class BatchingProgram(Program):
         }
 
 
+class OpenLoopProgram(Program):
+    """Open-loop tenant traffic under overload: the canonical two-tenant
+    population (diurnal YCSB-C frontend + bursty YCSB-A analytics) at
+    2.5x nominal load behind queue-depth admission.  Every arrival, key
+    choice and op-mix draw comes from the seeded per-tenant streams."""
+
+    name = "openloop"
+
+    def build(self, world) -> SimpleNamespace:
+        from ..traffic.engine import QueueDepthAdmission
+        from ..traffic.presets import build_overload_engine
+
+        system, engine = build_overload_engine(
+            env=world.env, seed=self.seed, duration_ns=msec(1.5), load=2.5,
+            policy=QueueDepthAdmission(8),
+        )
+        # the YCSB preload advances the clock during build
+        return SimpleNamespace(system=system, engine=engine, start_ns=world.env.now)
+
+    def pause_point(self, world) -> int:
+        return world.ctx.start_ns + int(msec(0.75))
+
+    def drivers(self, world):
+        return [("traffic.drive", world.ctx.engine.drive())]
+
+    def finish(self, world) -> dict[str, Any]:
+        engine = world.ctx.engine
+        summary = engine.summary()
+        tot = summary["totals"]
+        assert tot["completed"] > 0, "open-loop run completed no ops"
+        assert tot["completed"] == tot["launched"], "drain lost in-flight ops"
+        assert tot["rejected"] > 0, "overload never tripped admission control"
+        assert engine.inflight == 0, "inflight accounting leaked"
+        return {
+            "launched": tot["launched"],
+            "good": tot["good"],
+            "violations": tot["violations"],
+            "rejected": tot["rejected"],
+            "peak_inflight": summary["peak_inflight"],
+            "elapsed_ns": summary["elapsed_ns"],
+        }
+
+
 class ClusterProgram(Program):
     """The "cluster" scenario: a 3-node sharded+replicated KVS doing
     cross-fabric puts, a power cut killing one replica node mid-run,
-    then failover reads off the survivors."""
+    then failover reads off the survivors.  NIC queue pairs, fabric
+    links, replica fan-out, crash ride-out and quorum accounting all
+    land in one digest."""
 
     name = "cluster"
     default_pause_ns = int(msec(2.0))
+    nkeys = 18
 
-    def build(self, env) -> SimpleNamespace:
+    def build(self, world) -> SimpleNamespace:
         from ..cluster import cluster as cluster_builder
         from ..core import RuntimeConfig
 
         cfg = RuntimeConfig(nworkers=1, restart_wait_ns=int(usec(50)))
         cl = (
-            cluster_builder(env=env, seed=11 + self.seed)
+            cluster_builder(env=world.env, seed=11 + self.seed)
             .node("a", config=cfg, failure_domain="rack-1")
             .node("b", config=cfg, failure_domain="rack-2")
             .node("c", config=cfg, failure_domain="rack-3")
@@ -226,48 +378,28 @@ class ClusterProgram(Program):
         )
         kvs = cl.shard_kvs("kvs::/det", replicas=2, timeout_ns=int(msec(1)))
         cl.install_faults(f"power_cut:at={int(msec(3))}", node="b")
-        return SimpleNamespace(cluster=cl, kvs=kvs, nkeys=18)
+        return SimpleNamespace(cluster=cl, kvs=kvs)
 
-    def target(self, ctx):
-        return ctx.cluster
+    def target(self, world):
+        return world.ctx.cluster
 
-    def drive(self, ctx):
-        cl, kvs, nkeys = ctx.cluster, ctx.kvs, ctx.nkeys
-        env = cl.env
-        seed = self.seed
+    def drivers(self, world):
+        return [("go", self._go(world.ctx, world.env))]
 
-        def go():
-            for i in range(nkeys):
-                yield from kvs.put(f"det{i}", bytes([(i + seed) % 251]) * 96)
-            # ride past the power cut, then read through the outage
-            if env.now < msec(3):
-                yield env.timeout(int(msec(3)) - env.now + int(usec(100)))
-            hits = 0
-            for i in range(nkeys):
-                if (yield from kvs.get(f"det{i}")) == bytes([(i + seed) % 251]) * 96:
-                    hits += 1
-            # let the straggler replica branches (timeouts, crash ride-outs)
-            # resolve so the failover count is settled, not racing teardown
-            yield env.timeout(int(msec(2)))
-            return hits
+    def _go(self, ctx, env):
+        ctx.hits = yield from failover_story(ctx.kvs, env, self.seed, self.nkeys)
 
-        return cl.process(go())
-
-    def finish(self, ctx, value) -> dict[str, Any]:
-        cl, kvs, nkeys = ctx.cluster, ctx.kvs, ctx.nkeys
-        hits = value
-        assert hits == nkeys, f"failover reads lost keys ({hits}/{nkeys})"
+    def finish(self, world) -> dict[str, Any]:
+        ctx = world.ctx
+        cl, kvs, hits = ctx.cluster, ctx.kvs, ctx.hits
+        assert hits == self.nkeys, f"failover reads lost keys ({hits}/{self.nkeys})"
         assert not cl.nodes["b"].online, "power cut never fired"
         assert kvs.failovers > 0, "no replica branch ever failed over"
         remote = sum(r.remote_calls for r in cl._routes.values())
         assert remote > 0, "no call ever crossed the fabric"
         stats = cl.stats()
         cl.shutdown()
-        for route in cl._routes.values():
-            qp = route.qp
-            assert qp.submitted_total == qp.completed_total, (
-                f"{qp.owner_tag}: NIC conservation broken after shutdown"
-            )
+        assert_nic_conservation(cl)
         return {
             "hits": hits,
             "remote_calls": remote,
@@ -277,12 +409,54 @@ class ClusterProgram(Program):
         }
 
 
+class ControlProgram(Program):
+    """Closed-loop control under chaos: the canonical 2-worker KVS storm
+    (two worker crashes with inline respawn off, an unattended power
+    cut, a latency tax, a device stall) steered by a ControlDaemon —
+    healer, retry-tuner and worker-scaler acting through
+    hysteresis-gated actuator seams on the seeded "ctl" stream."""
+
+    name = "control"
+
+    def build(self, world) -> SimpleNamespace:
+        from ..ctl.presets import build_chaos_control
+
+        system, engine, daemon = build_chaos_control(env=world.env, seed=self.seed)
+        return SimpleNamespace(system=system, engine=engine, daemon=daemon,
+                               start_ns=world.env.now)
+
+    def pause_point(self, world) -> int:
+        return world.ctx.start_ns + int(msec(2.5))
+
+    def drivers(self, world):
+        return [("traffic.drive", world.ctx.engine.drive())]
+
+    def finish(self, world) -> dict[str, Any]:
+        ctx = world.ctx
+        system, daemon = ctx.system, ctx.daemon
+        tot = ctx.engine.summary()["totals"]
+        assert daemon is not None and daemon.ticks > 0, "daemon never ticked"
+        assert daemon.actions_taken > 0, "chaos storm provoked no repairs"
+        assert system.runtime.online, "daemon failed to restart the runtime"
+        assert not system.runtime.orchestrator.dead_workers, \
+            "daemon left crashed workers dead"
+        assert tot["completed"] > 0, "controlled run completed no ops"
+        return {
+            "launched": tot["launched"],
+            "good": tot["good"],
+            "rejected": tot["rejected"],
+            "ticks": daemon.ticks,
+            "actions": daemon.actions_taken,
+            "suppressed": daemon.actuators.suppressed,
+        }
+
+
 class UpgradeUnderLoadProgram(Program):
     """E2 under load: live-upgrade the KVS LabMod while the open-loop
     overload tenants keep firing, proving module state transfer loses no
-    in-flight work.  A snapshot pauses mid-upgrade (``default_pause_ns``
-    lands between the upgrade trigger and the admin thread completing the
-    swap) — the paper's Table I claim with teeth."""
+    in-flight work.  A snapshot pauses mid-upgrade (``pause_point``
+    lands between the upgrade trigger and the admin thread completing
+    the swap) — the paper's Table I claim with teeth."""
 
     name = "upgrade_under_load"
 
@@ -305,50 +479,47 @@ class UpgradeUnderLoadProgram(Program):
         # absolute timestamps would land inside the build)
         self.upgrade_at_ns = int(upgrade_at_ns)
 
-    def build(self, env) -> SimpleNamespace:
+    def build(self, world) -> SimpleNamespace:
         from ..traffic.presets import build_overload_engine
 
         system, engine = build_overload_engine(
-            env=env, seed=self.seed, duration_ns=self.duration_ns, load=self.load,
+            env=world.env, seed=self.seed, duration_ns=self.duration_ns, load=self.load,
         )
-        return SimpleNamespace(system=system, engine=engine, start_ns=env.now)
+        return SimpleNamespace(system=system, engine=engine, start_ns=world.env.now)
 
-    def pause_point(self, ctx, env) -> int:
+    def pause_point(self, world) -> int:
         # the admin thread polls every admin_poll_ns (1ms default): pause
         # while the upgrade request is queued/in flight, not after
-        return ctx.start_ns + self.upgrade_at_ns + int(usec(50))
+        return world.ctx.start_ns + self.upgrade_at_ns + int(usec(50))
 
-    def drive(self, ctx):
+    def drivers(self, world):
+        return [("go", self._go(world.ctx, world.env))]
+
+    def _go(self, ctx, env):
         from ..core.module_manager import UpgradeRequest
         from ..mods.labkvs import LabKvs, LabKvsV2
 
-        system, engine = ctx.system, ctx.engine
-        env = system.env
+        system = ctx.system
+        drive_proc = env.process(ctx.engine.drive(), name="traffic.drive")
+        trigger = ctx.start_ns + self.upgrade_at_ns
+        if trigger > env.now:
+            yield env.timeout(trigger - env.now)
+        ctx.pre_upgrade = [
+            (m.uuid, m.version, m.processed)
+            for m in system.runtime.registry.instances_of(LabKvs)
+        ]
+        for _ in range(self.nupgrades):
+            system.runtime.modify_mods(UpgradeRequest(
+                mod_name="LabKvs", new_cls=LabKvsV2,
+                upgrade_type=self.upgrade_type,
+            ))
+        ctx.summary = yield drive_proc
 
-        def go():
-            drive_proc = env.process(engine.drive(), name="traffic.drive")
-            trigger = ctx.start_ns + self.upgrade_at_ns
-            if trigger > env.now:
-                yield env.timeout(trigger - env.now)
-            ctx.pre_upgrade = [
-                (m.uuid, m.version, m.processed)
-                for m in system.runtime.registry.instances_of(LabKvs)
-            ]
-            for _ in range(self.nupgrades):
-                system.runtime.modify_mods(UpgradeRequest(
-                    mod_name="LabKvs", new_cls=LabKvsV2,
-                    upgrade_type=self.upgrade_type,
-                ))
-            summary = yield drive_proc
-            return summary
-
-        return system.process(go())
-
-    def finish(self, ctx, value) -> dict[str, Any]:
+    def finish(self, world) -> dict[str, Any]:
         from ..mods.labkvs import LabKvsV2
 
-        system = ctx.system
-        summary = value
+        ctx = world.ctx
+        system, summary = ctx.system, ctx.summary
         tot = summary["totals"]
         assert tot["completed"] == tot["launched"], "upgrade lost in-flight ops"
         assert tot["completed"] > 0, "no traffic ran"
@@ -373,11 +544,14 @@ class UpgradeUnderLoadProgram(Program):
 
 PROGRAMS: dict[str, type[Program]] = {
     cls.name: cls
-    for cls in (FaultsProgram, BatchingProgram, ClusterProgram, UpgradeUnderLoadProgram)
+    for cls in (QuickstartProgram, OrchestrationProgram, KvsProgram, FaultsProgram,
+                BatchingProgram, OpenLoopProgram, ClusterProgram, ControlProgram,
+                UpgradeUnderLoadProgram, ClusterParProgram, ControlParProgram,
+                E14ParProgram)
 }
 
 
-def program_named(name: str, seed: int = 0, **kw) -> Program:
-    if name not in PROGRAMS:
-        raise KeyError(f"unknown program {name!r}; known: {sorted(PROGRAMS)}")
-    return PROGRAMS[name](seed=seed, **kw)
+def registered(multi_world: bool) -> list[str]:
+    """The registry entries that run several worlds (or exactly one)."""
+    return [name for name, cls in PROGRAMS.items()
+            if (len(cls().nodes()) > 1) == multi_world]

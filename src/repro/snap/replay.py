@@ -3,7 +3,7 @@
 Python generators — the substance of every simulated process — cannot
 be pickled, so a mid-flight snapshot cannot serialize continuations
 directly.  Instead, a :class:`ReplaySnapshot` records the *recipe*: the
-deterministic :class:`~repro.snap.programs.Program` (seed included), the
+deterministic one-world :class:`~repro.sim.par.Program` (seed included), the
 virtual pause timestamp, the ordered history of mutation steps applied
 along the way, and content digests of all durable state at the pause.
 
@@ -27,15 +27,15 @@ import time
 from typing import Any, Callable, Optional
 
 from ..errors import ReplayDivergence, SnapshotError
-from ..sim.check import AuditRun, TraceHasher, reset_global_counters
-from ..sim.core import Environment
+from ..sim.check import AuditRun, TraceHasher
+from ..sim.core import Event
+from ..sim.par import ParWorld
 from .state import SystemSnapshot
 
 __all__ = [
     "ReplaySnapshot",
     "RestoredRun",
     "RunOutcome",
-    "drive_program",
     "straight_run",
     "snapshot_run",
     "restore_run",
@@ -56,33 +56,42 @@ class RunOutcome:
         self.time_ns = time_ns
 
 
-def drive_program(program, audit: AuditRun) -> dict:
-    """The repro.sim.check scenario protocol: build, drive, finish."""
-    env = Environment()
-    audit.attach(env)
-    ctx = program.build(env)
-    value = env.run(until=program.drive(ctx))
-    return program.finish(ctx, value)
+def _launch(program, audit: AuditRun, suffix=None) -> tuple[ParWorld, Event]:
+    """Build a one-world program's world under ``audit`` (plus the
+    ``suffix`` hasher, if any) and start its drivers.  Returns the world
+    and the event that fires once every driver is done: the lone driver
+    itself, or a join over several (a join is one more hashed event, so
+    a single driver is awaited directly)."""
+    nodes = program.nodes()
+    if len(nodes) != 1:
+        from .programs import registered
+
+        raise SnapshotError(
+            f"{program.name!r} runs {len(nodes)} worlds; the audited serial "
+            f"path (and snapshots) run one-world programs: "
+            f"{', '.join(registered(multi_world=False))}")
+    world = ParWorld(program, nodes[0])
+    audit.attach(world.env)
+    if suffix is not None:
+        world.env.tracer.add_sink(suffix)
+    world.build()
+    world.start_drivers()
+    procs = world.drivers
+    return world, procs[0] if len(procs) == 1 else world.env.all_of(procs)
 
 
 def straight_run(program, *, strict: bool = True, arm_at_ns: Optional[int] = None) -> RunOutcome:
-    """Run a program start to finish under audit.
+    """Run a one-world program start to finish under audit.
 
     ``arm_at_ns`` additionally computes the digest of the event-stream
     *suffix* from that timestamp on (what a restored run must match),
     without a second execution.
     """
-    reset_global_counters()
     audit = AuditRun(strict=strict)
-    suffix = None
-    env = Environment()
-    audit.attach(env)
-    if arm_at_ns is not None:
-        suffix = TraceHasher(arm_at_ns=arm_at_ns)
-        env.tracer.add_sink(suffix)
-    ctx = program.build(env)
-    value = env.run(until=program.drive(ctx))
-    result = program.finish(ctx, value)
+    suffix = TraceHasher(arm_at_ns=arm_at_ns) if arm_at_ns is not None else None
+    world, done = _launch(program, audit, suffix)
+    world.env.run(until=done)
+    result = program.finish(world)
     report = audit.finish()
     return RunOutcome(
         digest=audit.digest,
@@ -90,7 +99,7 @@ def straight_run(program, *, strict: bool = True, arm_at_ns: Optional[int] = Non
         result=result,
         report=report,
         trace_events=audit.hasher.count,
-        time_ns=env.now,
+        time_ns=world.env.now,
     )
 
 
@@ -98,7 +107,7 @@ class ReplaySnapshot:
     """A mid-flight snapshot: program + pause time + state digests.
 
     ``history`` is the ordered list of ``(at_ns, mutate)`` steps applied
-    after ``drive()`` — the snapshot tree's branch edits.  ``mutate``
+    after the drivers start — the snapshot tree's branch edits.  ``mutate``
     callables take the program ctx and must be deterministic; restore
     replays them at the same virtual instants.
     """
@@ -121,16 +130,16 @@ class ReplaySnapshot:
     def capture(
         cls,
         program,
-        ctx,
-        env: Environment,
+        world: ParWorld,
         *,
         history: Optional[list[tuple[int, Callable]]] = None,
         tag: str = "replay",
     ) -> "ReplaySnapshot":
         """Capture the paused run's durable state (COW — the run may keep
         going; it pays copy-on-write for pages dirtied afterwards)."""
-        state = SystemSnapshot.capture(program.target(ctx), tag=f"{tag}@{env.now}")
-        return cls(program, time_ns=env.now, state=state, history=history)
+        now = world.env.now
+        state = SystemSnapshot.capture(program.target(world), tag=f"{tag}@{now}")
+        return cls(program, time_ns=now, state=state, history=history)
 
     # ------------------------------------------------------------------
     def restore(self, *, strict: bool = True, verify: bool = True) -> "RestoredRun":
@@ -142,13 +151,10 @@ class ReplaySnapshot:
         suffix — comparable byte-for-byte with a straight run's armed
         digest.
         """
-        reset_global_counters()
         audit = AuditRun(strict=strict, arm_at_ns=self.time_ns)
-        env = Environment()
-        audit.attach(env)
         wall_start = time.perf_counter()
-        ctx = self.program.build(env)
-        main = self.program.drive(ctx)
+        world, done = _launch(self.program, audit)
+        env = world.env
         if self.time_ns <= env.now:
             raise SnapshotError(
                 f"pause point {self.time_ns} not after build end ({env.now})"
@@ -156,16 +162,16 @@ class ReplaySnapshot:
         for at_ns, mutate in self.history:
             if at_ns > env.now:
                 env.run(until=at_ns)
-            mutate(ctx)
+            mutate(world.ctx)
         if self.time_ns > env.now:
             env.run(until=self.time_ns)
         replay_wall_s = time.perf_counter() - wall_start
-        if main.triggered:
+        if done.triggered:
             raise SnapshotError(
                 f"program finished before the pause point {self.time_ns}"
             )
         if verify:
-            mismatches = self.state.verify_against(self.program.target(ctx))
+            mismatches = self.state.verify_against(self.program.target(world))
             if mismatches:
                 raise ReplayDivergence(
                     "replayed state diverged from the capture:\n  "
@@ -174,9 +180,8 @@ class ReplaySnapshot:
         return RestoredRun(
             snapshot=self,
             audit=audit,
-            env=env,
-            ctx=ctx,
-            main=main,
+            world=world,
+            done=done,
             replay_wall_s=replay_wall_s,
             replayed_events=audit.hasher.skipped,
         )
@@ -185,18 +190,17 @@ class ReplaySnapshot:
 class RestoredRun:
     """A live run sitting at the snapshot point, ready to continue."""
 
-    def __init__(self, *, snapshot, audit, env, ctx, main, replay_wall_s, replayed_events):
+    def __init__(self, *, snapshot, audit, world, done, replay_wall_s, replayed_events):
         self.snapshot = snapshot
+        self.program = snapshot.program
         self.audit = audit
-        self.env = env
-        self.ctx = ctx
-        self.main = main
+        self.world = world
+        self.env = world.env
+        self.ctx = world.ctx
+        #: fires once every driver is done
+        self.done = done
         self.replay_wall_s = replay_wall_s
         self.replayed_events = replayed_events
-
-    @property
-    def program(self):
-        return self.snapshot.program
 
     def run_until(self, at_ns: int) -> None:
         if at_ns > self.env.now:
@@ -204,8 +208,8 @@ class RestoredRun:
 
     def finish(self) -> RunOutcome:
         """Continue to program completion; digest covers only the suffix."""
-        value = self.env.run(until=self.main)
-        result = self.program.finish(self.ctx, value)
+        self.env.run(until=self.done)
+        result = self.program.finish(self.world)
         report = self.audit.finish()
         return RunOutcome(
             digest=None,
@@ -224,28 +228,27 @@ def snapshot_run(
     strict: bool = True,
     tag: str = "replay",
 ) -> tuple[RunOutcome, ReplaySnapshot]:
-    """Run a program to completion, pausing once at ``at_ns`` (default:
-    the program's ``default_pause_ns``) to capture a ReplaySnapshot.
+    """Run a one-world program to completion, pausing once at ``at_ns``
+    (default: the program's ``pause_point``) to capture a ReplaySnapshot.
 
     The capture is pure bookkeeping between two ``env.run()`` calls — no
     events are injected — so the full digest of this run must equal a
     straight run's digest (the property test pins exactly that).
     """
-    reset_global_counters()
     audit = AuditRun(strict=strict)
-    env = Environment()
-    audit.attach(env)
-    ctx = program.build(env)
-    main = program.drive(ctx)
-    pause = at_ns if at_ns is not None else program.pause_point(ctx, env)
+    world, done = _launch(program, audit)
+    env = world.env
+    pause = at_ns if at_ns is not None else program.pause_point(world)
+    if pause is None:
+        raise SnapshotError(f"{program.name!r} declares no pause point; pass at_ns")
     if pause <= env.now:
         raise SnapshotError(f"pause point {pause} not after build end ({env.now})")
     env.run(until=pause)
-    if main.triggered:
+    if done.triggered:
         raise SnapshotError(f"program finished before the pause point {pause}")
-    snap = ReplaySnapshot.capture(program, ctx, env, tag=tag)
-    value = env.run(until=main)
-    result = program.finish(ctx, value)
+    snap = ReplaySnapshot.capture(program, world, tag=tag)
+    env.run(until=done)
+    result = program.finish(world)
     report = audit.finish()
     outcome = RunOutcome(
         digest=audit.digest,

@@ -9,7 +9,7 @@ verdicts over the :mod:`repro.sim.check` trace hash).
 Usage::
 
     PYTHONPATH=src python -m repro.snap.report
-        [--scenario faults|batching|cluster|upgrade_under_load]
+        [--scenario NAME]    # any one-world entry of PROGRAMS
         [--at NS] [--seed 0]
         [--json [PATH]] [--csv [PATH]] [--out PATH]
 
@@ -24,7 +24,8 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from .programs import PROGRAMS, program_named
+from ..errors import SnapshotError
+from .programs import PROGRAMS
 from .replay import restore_run, snapshot_run, straight_run
 
 __all__ = ["snapshot_report", "format_snapshot_report", "main"]
@@ -35,8 +36,8 @@ CSV_HEADERS = ("deployment", "device", "resident_pages", "dirty_pages",
 
 def snapshot_report(scenario: str, *, seed: int = 0, at_ns: int | None = None) -> dict[str, Any]:
     """Run the three-way comparison and collect every reported number."""
-    outcome, snap = snapshot_run(program_named(scenario, seed=seed), at_ns=at_ns)
-    base = straight_run(program_named(scenario, seed=seed), arm_at_ns=snap.time_ns)
+    outcome, snap = snapshot_run(PROGRAMS[scenario](seed), at_ns=at_ns)
+    base = straight_run(PROGRAMS[scenario](seed), arm_at_ns=snap.time_ns)
     restored = snap.restore()
     replay_wall_s = restored.replay_wall_s
     replayed_events = restored.replayed_events
@@ -104,7 +105,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Snapshot size, dirtied pages, restore replay cost and "
                     "determinism verdicts for one program.",
     )
-    parser.add_argument("--scenario", choices=sorted(PROGRAMS), default="batching")
+    parser.add_argument("--scenario", choices=list(PROGRAMS), default="batching")
     parser.add_argument("--at", type=int, default=None, metavar="NS",
                         help="virtual pause timestamp (default: the "
                              "program's own mid-flight pause point)")
@@ -112,7 +113,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_output_flags(parser)
     args = parser.parse_args(argv)
 
-    data = snapshot_report(args.scenario, seed=args.seed, at_ns=args.at)
+    try:
+        data = snapshot_report(args.scenario, seed=args.seed, at_ns=args.at)
+    except SnapshotError as exc:
+        parser.error(str(exc))
     code = emit(args, Report(
         text=format_snapshot_report(data),
         data=data,

@@ -110,14 +110,13 @@ class SnapshotTree:
             mutate(restored.ctx)
             history.append((node.snapshot.time_ns, mutate))
         restored.run_until(node.snapshot.time_ns + int(run_ns))
-        if restored.main.triggered:
+        if restored.done.triggered:
             raise SnapshotError(
                 f"branch {label!r} ran past program completion; "
                 "shorten run_ns or snapshot earlier"
             )
         child_snap = ReplaySnapshot.capture(
-            self.program, restored.ctx, restored.env,
-            history=history, tag=label,
+            self.program, restored.world, history=history, tag=label,
         )
         child = SnapshotNode(next(self._ids), label, child_snap, node)
         if meta_fn is not None:

@@ -14,9 +14,8 @@ Stacks are composed through the fluent :class:`~repro.builder.StackBuilder`::
     sys_ = LabStorSystem()
     stack = sys_.stack("/labfs").fs(variant="all").device("nvme").mount()
 
-The old ``fs_stack_spec``/``kvs_stack_spec`` methods still work but emit
-a :class:`DeprecationWarning`; ``mount_fs_stack``/``mount_kvs_stack``
-remain supported conveniences (they delegate to the builder).
+``mount_fs_stack``/``mount_kvs_stack`` are conveniences that mount the
+canonical Lab-All/Min/D chains through the same builder.
 
 Telemetry: pass ``telemetry=True`` (or a configured
 :class:`repro.obs.Telemetry`) or set ``REPRO_TELEMETRY=1`` to record
@@ -25,12 +24,11 @@ per-request spans; see DESIGN.md "Observability".
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .builder import VARIANTS, StackBuilder
 from .core.client import LabStorClient
-from .core.labstack import LabStack, StackSpec
+from .core.labstack import LabStack
 from .core.runtime import LabStorRuntime, RuntimeConfig
 from .devices.profiles import DeviceSpec, make_device
 from .faults.plan import plan_from_env as _plan_from_env
@@ -55,7 +53,6 @@ class LabStorSystem:
         devices: Iterable[Union[str, DeviceSpec]] = ("nvme",),
         config: RuntimeConfig | None = None,
         cost: CostModel = DEFAULT_COST,
-        device_overrides: dict[str, dict] | None = None,
         env: Environment | None = None,
         telemetry: Union[Telemetry, bool, None] = None,
         fault_plan: Union["FaultPlan", str, None] = None,
@@ -74,19 +71,9 @@ class LabStorSystem:
             self.telemetry = _maybe_attach_telemetry(self.env)
         self.rngs = RngRegistry(seed)
         self.cost = cost
-        if device_overrides is not None:
-            warnings.warn(
-                "device_overrides is deprecated; pass DeviceSpec entries in "
-                "`devices` instead, e.g. devices=[DeviceSpec('nvme', nqueues=16)]",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        overrides = device_overrides or {}
         self.devices = {}
         for dev in devices:
-            spec = dev if isinstance(dev, DeviceSpec) else DeviceSpec(
-                dev, **overrides.get(dev, {})
-            )
+            spec = dev if isinstance(dev, DeviceSpec) else DeviceSpec(dev)
             self.devices[spec.kind] = spec.build(
                 self.env, rng=self.rngs.stream(f"device.{spec.kind}")
             )
@@ -172,26 +159,6 @@ class LabStorSystem:
         if uuid_prefix:
             b.uuid_prefix(uuid_prefix)
         return b
-
-    def fs_stack_spec(self, mount: str, **kw) -> StackSpec:
-        """Deprecated: use ``system.stack(mount).fs(...)...build()``."""
-        warnings.warn(
-            "LabStorSystem.fs_stack_spec() is deprecated; use "
-            "system.stack(mount).fs(...).device(...).build() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._fs_builder(mount, **kw).build()
-
-    def kvs_stack_spec(self, mount: str, **kw) -> StackSpec:
-        """Deprecated: use ``system.stack(mount).kvs(...)...build()``."""
-        warnings.warn(
-            "LabStorSystem.kvs_stack_spec() is deprecated; use "
-            "system.stack(mount).kvs(...).device(...).build() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._kvs_builder(mount, **kw).build()
 
     def mount_fs_stack(self, mount: str, **kw) -> LabStack:
         return self._fs_builder(mount, **kw).mount()

@@ -5,23 +5,19 @@ import pytest
 
 @pytest.fixture
 def determinism_check():
-    """Assert a scenario produces an identical trace hash on every run.
+    """Assert a program produces an identical trace digest on every run.
 
-    The scenario callable receives an :class:`repro.sim.check.AuditRun`;
-    it must build its environment, call ``audit.attach(env)`` before
-    driving any simulation, and run to completion (the protocol of
-    ``repro.sim.check.SCENARIOS``).  Returns the common digest.
+    Takes a :class:`repro.sim.par.Program` instance — a
+    ``repro.snap.programs.PROGRAMS`` entry or a test-local subclass — and
+    runs it ``runs`` times on the runner its world count picks
+    (``repro.sim.check.audit_program``): one world on the audited serial
+    path, several under the sharded runner at ``shards=1``.  Returns the
+    common digest.
     """
-    from repro.sim.check import AuditRun, reset_global_counters
+    from repro.sim.check import audit_program
 
-    def _check(scenario, runs=2, strict=True):
-        digests = []
-        for _ in range(runs):
-            reset_global_counters()
-            audit = AuditRun(strict=strict)
-            scenario(audit)
-            audit.finish()
-            digests.append(audit.digest)
+    def _check(program, runs=2, strict=True):
+        digests = [audit_program(program, strict=strict)[0] for _ in range(runs)]
         assert len(set(digests)) == 1, f"non-deterministic trace stream: {digests}"
         return digests[0]
 

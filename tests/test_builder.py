@@ -1,5 +1,5 @@
-"""Tests for the fluent StackBuilder, the deprecated spec wrappers, the
-typed DeviceSpec, and system/client teardown."""
+"""Tests for the fluent StackBuilder, the mount helpers' kwargs mapping,
+the typed DeviceSpec, and system/client teardown."""
 
 import pytest
 
@@ -12,13 +12,12 @@ from repro.system import LabStorSystem
 
 
 # ---------------------------------------------------------------------------
-# deprecated wrappers: byte-identical specs + warnings
+# mount_fs_stack/mount_kvs_stack kwargs -> builder chain: byte-identical specs
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("variant", ["all", "min", "d"])
 def test_fs_wrapper_and_builder_specs_byte_identical(variant):
     sys_ = LabStorSystem()
-    with pytest.warns(DeprecationWarning, match="fs_stack_spec"):
-        old = sys_.fs_stack_spec("fs::/x", variant=variant, uuid_prefix="cmp")
+    old = sys_._fs_builder("fs::/x", variant=variant, uuid_prefix="cmp").build()
     new = (
         sys_.stack("fs::/x")
         .fs(variant=variant)
@@ -35,8 +34,7 @@ def test_fs_wrapper_and_builder_specs_byte_identical(variant):
 @pytest.mark.parametrize("variant", ["all", "min", "d"])
 def test_kvs_wrapper_and_builder_specs_byte_identical(variant):
     sys_ = LabStorSystem()
-    with pytest.warns(DeprecationWarning, match="kvs_stack_spec"):
-        old = sys_.kvs_stack_spec("kvs::/x", variant=variant, uuid_prefix="cmp")
+    old = sys_._kvs_builder("kvs::/x", variant=variant, uuid_prefix="cmp").build()
     new = (
         sys_.stack("kvs::/x")
         .kvs(variant=variant)
@@ -49,11 +47,10 @@ def test_kvs_wrapper_and_builder_specs_byte_identical(variant):
 
 def test_wrapper_kwargs_forwarded():
     sys_ = LabStorSystem()
-    with pytest.warns(DeprecationWarning):
-        old = sys_.fs_stack_spec(
-            "fs::/k", variant="min", sched="BlkSwitchSchedMod", cache=False,
-            nworkers=4, capacity_bytes=1 << 20, uuid_prefix="kw",
-        )
+    old = sys_._fs_builder(
+        "fs::/k", variant="min", sched="BlkSwitchSchedMod", cache=False,
+        nworkers=4, capacity_bytes=1 << 20, uuid_prefix="kw",
+    ).build()
     new = (
         sys_.stack("fs::/k")
         .fs(variant="min", nworkers=4, capacity_bytes=1 << 20)
@@ -73,32 +70,6 @@ def test_mount_helpers_do_not_warn(recwarn):
     sys_.mount_fs_stack("fs::/m", variant="min")
     sys_.mount_kvs_stack("kvs::/m", variant="min")
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-
-
-def test_fs_stack_spec_warning_points_at_caller():
-    """stacklevel=2 must attribute the warning to the calling file (this
-    test), not to system.py — that is what makes the deprecation findable."""
-    import warnings
-
-    sys_ = LabStorSystem()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sys_.fs_stack_spec("fs::/w", variant="min")
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert dep[0].filename == __file__
-
-
-def test_kvs_stack_spec_warning_points_at_caller():
-    import warnings
-
-    sys_ = LabStorSystem()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sys_.kvs_stack_spec("kvs::/w", variant="min")
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert dep[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------

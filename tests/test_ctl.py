@@ -247,9 +247,9 @@ class TestNoOpSafety:
 # determinism + E15 oracle regression
 # ---------------------------------------------------------------------------
 def test_control_scenario_is_deterministic(determinism_check):
-    from repro.sim.check import SCENARIOS
+    from repro.snap.programs import PROGRAMS
 
-    determinism_check(SCENARIOS["control"])
+    determinism_check(PROGRAMS["control"]())
 
 
 class TestControlPlane:

@@ -340,6 +340,6 @@ def test_fault_plan_env_var_arms_system(monkeypatch):
     sys_.shutdown()
 
 def test_chaos_scenario_is_deterministic(determinism_check):
-    from repro.sim.check import SCENARIOS
+    from repro.snap.programs import PROGRAMS
 
-    determinism_check(SCENARIOS["faults"])
+    determinism_check(PROGRAMS["faults"]())

@@ -16,7 +16,10 @@ from repro.errors import SanitizerError
 from repro.ipc import QueuePair
 from repro.kernel import Cpu
 from repro.sim import Environment, Sanitizer
-from repro.sim.check import AuditRun, run_scenario
+from repro.sim.check import AuditRun
+from repro.sim.par import Program
+from repro.snap.programs import PROGRAMS
+from repro.snap.replay import straight_run
 
 
 def echo_executor(req, x):
@@ -213,54 +216,72 @@ def test_worker_batch_pop_accounting_detected():
 
 
 def test_batching_scenario_is_deterministic():
-    d1, r1 = run_scenario("batching")
-    d2, r2 = run_scenario("batching")
-    assert d1 == d2
-    assert r1["violations"] == [] and r2["violations"] == []
-    assert r1["result"]["merged_ops"] > 0
-    assert r1["result"]["coalesced_ops"] >= 0
-    assert r1["checks"].get("batch", 0) > 0, "no san.batch records audited"
+    r1 = straight_run(PROGRAMS["batching"]())
+    r2 = straight_run(PROGRAMS["batching"]())
+    assert r1.digest == r2.digest
+    assert r1.report["violations"] == [] and r2.report["violations"] == []
+    assert r1.result["merged_ops"] > 0
+    assert r1.result["coalesced_ops"] >= 0
+    assert r1.report["checks"].get("batch", 0) > 0, "no san.batch records audited"
 
 
 # --- determinism checker -----------------------------------------------
-def test_determinism_check_passes_on_seeded_scenario(determinism_check):
-    def scenario(audit):
-        env = Environment()
-        audit.attach(env)
-        rng = random.Random(42)  # re-seeded inside every run
+class _Pinger(Program):
+    """Sixteen pings at random gaps from an RNG re-seeded by every build."""
+
+    name = "pinger"
+
+    def build(self, world):
+        return random.Random(42)
+
+    def drivers(self, world):
+        env, rng = world.env, world.ctx
 
         def pinger():
             for _ in range(16):
                 yield env.timeout(rng.randrange(1, 1000))
 
-        env.run(env.process(pinger()))
-
-    determinism_check(scenario)
+        return [("pinger", pinger())]
 
 
-def test_determinism_check_flags_unseeded_randomness(determinism_check):
-    rng = random.Random(1234)  # shared across runs: draws keep advancing
+class _Jitter(Program):
+    """Eight sleeps drawn from an RNG shared across runs: draws keep
+    advancing, so no two runs match."""
 
-    def scenario(audit):
-        env = Environment()
-        audit.attach(env)
+    name = "jitter"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rng = random.Random(1234)
+
+    def build(self, world):
+        return None
+
+    def drivers(self, world):
+        env, rng = world.env, self.rng
 
         def jitter():
             for _ in range(8):
                 yield env.timeout(rng.randrange(1, 10**6))
 
-        env.run(env.process(jitter()))
+        return [("jitter", jitter())]
 
+
+def test_determinism_check_passes_on_seeded_scenario(determinism_check):
+    determinism_check(_Pinger())
+
+
+def test_determinism_check_flags_unseeded_randomness(determinism_check):
     with pytest.raises(AssertionError, match="non-deterministic"):
-        determinism_check(scenario)
+        determinism_check(_Jitter())
 
 
 def test_check_scenario_quickstart_is_deterministic():
-    d1, r1 = run_scenario("quickstart")
-    d2, r2 = run_scenario("quickstart")
-    assert d1 == d2
-    assert r1["violations"] == [] and r2["violations"] == []
-    assert r1["trace_events"] == r2["trace_events"] > 0
+    r1 = straight_run(PROGRAMS["quickstart"]())
+    r2 = straight_run(PROGRAMS["quickstart"]())
+    assert r1.digest == r2.digest
+    assert r1.report["violations"] == [] and r2.report["violations"] == []
+    assert r1.trace_events == r2.trace_events > 0
 
 
 def test_audit_run_attach_enables_audit_seam():

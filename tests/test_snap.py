@@ -279,45 +279,42 @@ class _AuditFsProgram(Program):
     default_pause_ns = int(msec(0.5))
     NFILES = 56
 
-    def build(self, env):
+    def build(self, world):
         from repro.faults import CrashConsistencyChecker, RetryPolicy
         from repro.mods.generic_fs import GenericFS
         from repro.system import LabStorSystem
 
-        system = LabStorSystem(env=env, seed=self.seed, devices=("nvme",))
+        system = LabStorSystem(env=world.env, seed=self.seed, devices=("nvme",))
         system.mount_fs_stack("fs::/audit", variant="min")
         retry = RetryPolicy(max_attempts=6, timeout_ns=int(msec(50)))
         gfs = GenericFS(system.client(), retry=retry)
         return SimpleNamespace(
-            system=system, gfs=gfs, checker=CrashConsistencyChecker(),
+            system=system, gfs=gfs, checker=CrashConsistencyChecker(), acked=0,
         )
 
-    def drive(self, ctx):
-        system, gfs, checker = ctx.system, ctx.gfs, ctx.checker
-        env = system.env
+    def drivers(self, world):
+        return [("go", self._go(world.ctx, world.env))]
 
-        def go():
-            acked = 0
-            for i in range(self.NFILES):
-                path = f"fs::/audit/f{i}"
-                data = bytes([(i + 1) % 251]) * 4096
-                checker.begin(path, data)
-                try:
-                    yield from gfs.write_file(path, data)
-                except Exception:  # noqa: BLE001 - injected cut: move on
-                    continue
-                checker.ack(path)
-                acked += 1
-                yield env.timeout(int(usec(40)))  # spread the write stream
-            # idle tail: branches need the run still alive to grow from
-            yield env.timeout(int(msec(60)))
-            return acked
+    def _go(self, ctx, env):
+        gfs, checker = ctx.gfs, ctx.checker
+        for i in range(self.NFILES):
+            path = f"fs::/audit/f{i}"
+            data = bytes([(i + 1) % 251]) * 4096
+            checker.begin(path, data)
+            try:
+                yield from gfs.write_file(path, data)
+            except Exception:  # noqa: BLE001 - injected cut: move on
+                continue
+            checker.ack(path)
+            ctx.acked += 1
+            yield env.timeout(int(usec(40)))  # spread the write stream
+        # idle tail: branches need the run still alive to grow from
+        yield env.timeout(int(msec(60)))
 
-        return system.process(go())
-
-    def finish(self, ctx, value):
+    def finish(self, world):
+        ctx = world.ctx
         report = ctx.system.run(ctx.system.process(ctx.checker.verify(ctx.gfs)))
-        return {"acked": value, "consistency": report}
+        return {"acked": ctx.acked, "consistency": report}
 
 
 class _InstallFaults:

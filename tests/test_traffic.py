@@ -277,6 +277,6 @@ def test_overload_preset_runs_and_reports():
 
 
 def test_openloop_scenario_is_deterministic(determinism_check):
-    from repro.sim.check import SCENARIOS
+    from repro.snap.programs import PROGRAMS
 
-    determinism_check(SCENARIOS["openloop"])
+    determinism_check(PROGRAMS["openloop"]())
