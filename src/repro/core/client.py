@@ -141,7 +141,7 @@ class LabStorClient:
                 stack_id=stack.stack_id, sync=stack.exec_mode == "sync",
             )
             req.obs = sc
-            t.emit(env._now, "obs.open", span=sc)
+            t.span_opened(env._now, sc)
         if stack.exec_mode == "sync":
             if sc is not None:
                 sc.mark_dispatched(env._now)
@@ -152,7 +152,7 @@ class LabStorClient:
                 if sc is not None:
                     sc.mark_complete(env._now)
                     sc.close(env._now)
-                    t.emit(env._now, "obs.span", span=sc)
+                    t.span_closed(env._now, sc)
             self.completed += 1
             return value
         if self.conn is None:
@@ -179,7 +179,7 @@ class LabStorClient:
                 ev.defuse()
             if sc is not None:
                 sc.close(env._now)
-                t.emit(env._now, "obs.span", span=sc)
+                t.span_closed(env._now, sc)
             raise
         # completion-side cross-core hop (the submit-side hop is traced by
         # the worker's pop); charged in _poll_completions, attributed here
@@ -189,7 +189,7 @@ class LabStorClient:
         if sc is not None:
             sc.add_cat("ipc", self.runtime.cost.shm_hop_ns)
             sc.close(env._now)
-            t.emit(env._now, "obs.span", span=sc)
+            t.span_closed(env._now, sc)
         if comp.error is not None:
             raise comp.error
         return comp.value
@@ -238,7 +238,7 @@ class LabStorClient:
                     stack_id=stack.stack_id, sync=False,
                 )
                 req.obs = sc
-                t.emit(self.env.now, "obs.open", span=sc)
+                t.span_opened(self.env.now, sc)
             ev = self.env.event()
             self._pending[req.req_id] = ev
             events.append(ev)
@@ -265,13 +265,14 @@ class LabStorClient:
                     comp = Completion(req, error=exc)
                 else:
                     # completion-side cross-core hop, attributed per op
-                    t.emit(self.env.now, "span", name="ipc", dur_ns=cost.shm_hop_ns)
+                    if self.env._trace:
+                        t.emit(self.env.now, "span", name="ipc", dur_ns=cost.shm_hop_ns)
                     self.completed += 1
                     if sc is not None:
                         sc.add_cat("ipc", cost.shm_hop_ns)
             if sc is not None:
                 sc.close(self.env.now)
-                t.emit(self.env.now, "obs.span", span=sc)
+                t.span_closed(self.env.now, sc)
             comps.append(comp)
         return comps
 

@@ -222,9 +222,7 @@ class LabStorRuntime:
             self.orchestrator.decommission_worker(w)
         for uuid in self.registry.uuids():
             self.registry.get(uuid).on_crash()
-        t = self.tracer
-        if t.enabled:
-            t.emit(self.env.now, "fault.runtime", action="crash", crashes=self.crashes)
+        self.tracer.fault(self.env.now, "fault.runtime", action="crash", crashes=self.crashes)
 
     def restart(self):
         """Process generator: bring the Runtime back; queues reattach and
@@ -240,10 +238,8 @@ class LabStorRuntime:
             self.registry.get(uuid).state_repair()
         self.online = True
         self.orchestrator.rebalance()
-        t = self.tracer
-        if t.enabled:
-            recovery = self.env.now - self._crash_ns if self._crash_ns is not None else 0
-            t.emit(self.env.now, "fault.runtime", action="restart", recovery_ns=recovery)
+        recovery = self.env.now - self._crash_ns if self._crash_ns is not None else 0
+        self.tracer.fault(self.env.now, "fault.runtime", action="restart", recovery_ns=recovery)
         waiters, self._online_waiters = self._online_waiters, []
         for ev in waiters:
             ev.succeed()

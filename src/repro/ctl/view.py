@@ -110,7 +110,7 @@ class MetricsWindow:
         merged = Histogram(min_ns=hists[0].min_ns, max_ns=hists[0].max_ns)
         for h in hists:
             if len(h.buckets) == len(merged.buckets) and h.min_ns == merged.min_ns:
-                merged.buckets = merged.buckets + h.buckets
+                merged.buckets = [a + b for a, b in zip(merged.buckets, h.buckets)]
                 merged.total += h.total
         return merged.quantile(q)
 

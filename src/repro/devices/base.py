@@ -296,11 +296,8 @@ class BlockDevice:
         req.complete_ns = env._now
         self.completed += 1
         if env._obs:
-            env.tracer.emit(
-                env._now, "obs.device",
-                device=self.name, hctx=qidx, op=req.op.value, size=req.size,
-                queue_ns=queue_ns, service_ns=service,
-            )
+            env.tracer.device_op(env._now, self.name, qidx, req.op.value,
+                                 req.size, queue_ns, service)
             sc = req.obs
             if sc is not None:
                 # kernel-baseline path: the driver above has no ExecContext,
@@ -351,11 +348,8 @@ class BlockDevice:
             self._apply(r)
             self.completed += 1
             if t.obs:
-                t.emit(
-                    now, "obs.device",
-                    device=self.name, hctx=qidx, op=r.op.value, size=r.size,
-                    queue_ns=t0 - r.submit_ns, service_ns=service,
-                )
+                t.device_op(now, self.name, qidx, r.op.value, r.size,
+                            t0 - r.submit_ns, service)
                 sc = r.obs
                 if sc is not None:
                     sc.add_device_window(r.submit_ns, r.complete_ns)

@@ -207,9 +207,7 @@ class FaultEngine:
     def record(self, kind: str, **fields) -> None:
         """Count an injection and publish it on the trace seam."""
         self.injected[kind] = self.injected.get(kind, 0) + 1
-        t = self.env.tracer
-        if t.enabled:
-            t.emit(self.env.now, "fault.inject", kind=kind, **fields)
+        self.env.tracer.fault(self.env.now, "fault.inject", kind=kind, **fields)
 
     # ------------------------------------------------------------------
     # spec wiring

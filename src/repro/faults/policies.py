@@ -85,15 +85,11 @@ class RetryPolicy:
                 if n + 1 == self.max_attempts:
                     continue  # budget spent: this failure is a giveup, not a retry
                 self.retries += 1
-                t = env.tracer
-                if t.enabled:
-                    t.emit(env.now, "fault.retry",
-                           attempt=n + 1, error=type(exc).__name__)
+                env.tracer.fault(env.now, "fault.retry",
+                                 attempt=n + 1, error=type(exc).__name__)
         self.gave_up += 1
-        t = env.tracer
-        if t.enabled:
-            t.emit(env.now, "fault.giveup",
-                   attempts=self.max_attempts, error=type(last).__name__)
+        env.tracer.fault(env.now, "fault.giveup",
+                         attempts=self.max_attempts, error=type(last).__name__)
         raise RetriesExhausted(
             f"gave up after {self.max_attempts} attempts; last error: {last!r}"
         ) from last

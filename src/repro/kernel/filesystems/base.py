@@ -189,7 +189,7 @@ class KernelFilesystem:
         t.obs_span = prev
         sc.mark_complete(self.env.now)
         sc.close(self.env.now)
-        t.emit(self.env.now, "obs.span", span=sc)
+        t.span_closed(self.env.now, sc)
 
     # ------------------------------------------------------------------
     # POSIX-ish operations (process generators)

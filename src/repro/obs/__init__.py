@@ -1,12 +1,12 @@
 """repro.obs — end-to-end request telemetry for the LabStor reproduction.
 
 A span-based observability layer riding the :class:`repro.sim.trace.Tracer`
-pub/sub seam (the same pattern as :mod:`repro.sim.sanitizer`): when
-``tracer.obs`` is armed, every request carries a
+seam: when ``tracer.obs`` is armed, every request carries a
 :class:`~repro.obs.spans.SpanContext` that records virtual-time stamps at
 each hop — client submit, SQ accept, worker pop, per-LabMod service,
-device queue + service, CQ reap — and a :class:`Telemetry` sink aggregates
-closed spans into a :class:`~repro.obs.metrics.MetricsRegistry`.
+device queue + service, CQ reap — and a :class:`Telemetry` hub in the
+tracer's telemetry slot aggregates closed spans into a
+:class:`~repro.obs.metrics.MetricsRegistry`.
 
 Disabled (the default), every instrumentation site costs one flag check
 and allocates nothing.

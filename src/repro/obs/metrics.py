@@ -10,7 +10,10 @@ Three metric families, all keyed by ``(name, sorted label items)``:
 The registry is deliberately dumb: the hot path never touches it — spans
 are aggregated into it only when they close (see
 :class:`repro.obs.telemetry.Telemetry`), so its cost scales with the
-number of *completed* requests, not with per-hop instrumentation.
+number of *completed* requests, not with per-hop instrumentation.  Callers
+that update the same metrics per request resolve them once: :meth:`key`
+plus :meth:`inc_key` / :meth:`set_gauge_key` skip the label sort, and a
+:meth:`histogram` handle stays valid until :attr:`generation` moves.
 """
 
 from __future__ import annotations
@@ -39,6 +42,21 @@ class MetricsRegistry:
         self._histograms: dict[_Key, Histogram] = {}
         #: counter values at the last :meth:`mark` (window base)
         self._marks: dict[_Key, int] = {}
+        #: bumped by :meth:`reset` and :meth:`load`, which drop every
+        #: histogram object: cached :meth:`histogram` handles are stale
+        self.generation = 0
+
+    # -- pre-keyed access -------------------------------------------------
+    @staticmethod
+    def key(name: str, **labels: Any) -> _Key:
+        """The key of ``name`` with ``labels``, for the ``*_key`` methods."""
+        return _key(name, labels)
+
+    def inc_key(self, k: _Key, value: int = 1) -> None:
+        self._counters[k] = self._counters.get(k, 0) + value
+
+    def set_gauge_key(self, k: _Key, value: float) -> None:
+        self._gauges[k] = value
 
     # -- counters ---------------------------------------------------------
     def inc(self, name: str, value: int = 1, **labels: Any) -> None:
@@ -175,12 +193,14 @@ class MetricsRegistry:
             k: Histogram.load(h) for k, h in state["histograms"].items()
         }
         self._marks = {}  # a restored registry starts a fresh window
+        self.generation += 1
 
     def reset(self) -> None:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
         self._marks.clear()
+        self.generation += 1
 
     def __repr__(self) -> str:
         return (

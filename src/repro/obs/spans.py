@@ -217,17 +217,20 @@ class SpanContext:
 
     def phases(self) -> dict[str, int]:
         """The Fig 4 anatomy; components sum to ``e2e_ns`` exactly."""
+        return dict(zip(PHASES, self.phase_values()))
+
+    def phase_values(self) -> tuple[int, ...]:
+        """:meth:`phases` as a tuple in :data:`PHASES` order."""
         if not self.closed:
             raise ValueError(f"span {self.req_id} ({self.op}) is still open")
-        service = self.complete_ns - self.pop_ns
-        return {
-            "batch": self.doorbell_ns - self.submit_ns,
-            "submit": self.accept_ns - self.doorbell_ns,
-            "queue": (self.pop_ns - self.accept_ns) + self.kqueue_ns,
-            "module": service - self.kqueue_ns - self.device_ns,
-            "device": self.device_ns,
-            "completion": self.reap_ns - self.complete_ns,
-        }
+        return (
+            self.doorbell_ns - self.submit_ns,
+            self.accept_ns - self.doorbell_ns,
+            (self.pop_ns - self.accept_ns) + self.kqueue_ns,
+            self.complete_ns - self.pop_ns - self.kqueue_ns - self.device_ns,
+            self.device_ns,
+            self.reap_ns - self.complete_ns,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -153,21 +153,37 @@ class LatencyRecorder:
         }
 
 
+#: below this bound an int's bit length is its log2 bucket: a faithfully
+#: rounded float log2 of ``2**k - 1`` stays under ``k`` for every k <= 47
+_EXACT_INT_LOG2 = 2**47
+
+
 class Histogram:
-    """Log2-bucketed histogram of nanosecond latencies (HDR-style)."""
+    """Log2-bucketed histogram of nanosecond latencies (HDR-style).
+
+    Buckets are a plain list: ``add`` is a per-span hot path, and a list
+    increment costs a fraction of a numpy scalar one.
+    """
 
     def __init__(self, min_ns: int = 1, max_ns: int = 10**12) -> None:
         self.min_ns = max(1, min_ns)
         self.max_ns = max_ns
         nbuckets = int(math.ceil(math.log2(max_ns / self.min_ns))) + 1
-        self.buckets = np.zeros(nbuckets, dtype=np.int64)
+        self.buckets = [0] * nbuckets
         self.total = 0
+        # ints below _int_limit take the fast path in add(): those <= 1
+        # clamp to bucket 0 (for any min_ns >= 1); with min_ns == 1 the
+        # rest up to max_ns (or 2**47) bucket by bit length
+        self._int_limit = min(max_ns, _EXACT_INT_LOG2) + 1 if self.min_ns == 1 else 1
 
     def add(self, ns: float) -> None:
-        ns = max(self.min_ns, min(ns, self.max_ns))
-        idx = int(math.log2(ns / self.min_ns))
-        idx = min(idx, len(self.buckets) - 1)
-        self.buckets[idx] += 1
+        if ns.__class__ is int and ns < self._int_limit:
+            # == the log2 formula below, without the float round trip
+            self.buckets[ns.bit_length() - 1 if ns > 1 else 0] += 1
+        else:
+            ns = max(self.min_ns, min(ns, self.max_ns))
+            idx = int(math.log2(ns / self.min_ns))
+            self.buckets[min(idx, len(self.buckets) - 1)] += 1
         self.total += 1
 
     def bucket_bounds(self, idx: int) -> tuple[int, int]:
@@ -182,14 +198,14 @@ class Histogram:
         return {
             "min_ns": self.min_ns,
             "max_ns": self.max_ns,
-            "buckets": [int(c) for c in self.buckets],
+            "buckets": list(self.buckets),
             "total": self.total,
         }
 
     @classmethod
     def load(cls, state: dict) -> "Histogram":
         h = cls(min_ns=state["min_ns"], max_ns=state["max_ns"])
-        h.buckets = np.array(state["buckets"], dtype=np.int64)
+        h.buckets = [int(c) for c in state["buckets"]]
         h.total = state["total"]
         return h
 
@@ -206,10 +222,11 @@ class Histogram:
         """
         win = Histogram(min_ns=self.min_ns, max_ns=self.max_ns)
         base = getattr(self, "_window_base", None)
-        diff = self.buckets.copy() if base is None else self.buckets - base
+        diff = (list(self.buckets) if base is None
+                else [c - b for c, b in zip(self.buckets, base)])
         win.buckets = diff
-        win.total = int(diff.sum())
-        self._window_base = self.buckets.copy()
+        win.total = sum(diff)
+        self._window_base = list(self.buckets)
         return win
 
     def quantile(self, q: float) -> float:
@@ -219,7 +236,7 @@ class Histogram:
         target = q * self.total
         cum = 0
         for i, c in enumerate(self.buckets):
-            cum += int(c)
+            cum += c
             # `c` guard: quantile(0.0) must report the lowest *occupied*
             # bucket, not bucket 0 (cum >= 0 is vacuously true there)
             if c and cum >= target:

@@ -4,6 +4,13 @@ Components emit ``tracer.emit(category, **fields)``; experiments either
 disable tracing entirely (zero cost beyond one branch) or register sinks
 that aggregate spans.  The anatomy experiment (Fig 4a) is implemented as a
 :class:`SpanAccumulator` sink over per-LabMod spans.
+
+Telemetry is not a sink: it sits in the tracer's one telemetry slot and
+receives ``obs.*`` / ``fault.*`` events by direct call through the typed
+publishers (:meth:`Tracer.span_opened`, :meth:`Tracer.span_closed`,
+:meth:`Tracer.device_op`, :meth:`Tracer.fault`).  Those publishers also
+emit the same events as :class:`TraceEvent` s whenever a sink is attached,
+so sinks see exactly the stream they would without the slot.
 """
 
 from __future__ import annotations
@@ -48,6 +55,11 @@ class Tracer:
         #: ambient span for layers with no per-request plumbing (the kernel
         #: baseline's block layer reads the span of the syscall in progress)
         self.obs_span = None
+        #: the one telemetry slot (a :class:`repro.obs.telemetry.Telemetry`
+        #: or None).  It is fed by the typed publishers below, not through
+        #: ``emit``, so arming telemetry alone leaves ``enabled`` off and
+        #: builds no TraceEvent.
+        self.telemetry = None
         self._sinks: list[Callable[[TraceEvent], None]] = []
         self._envs: "weakref.WeakSet[Any]" = weakref.WeakSet()
 
@@ -104,6 +116,43 @@ class Tracer:
             self.events.append(ev)
         for sink in self._sinks:
             sink(ev)
+
+    # -- typed publishers: the telemetry slot first, then the sinks -----
+    def span_opened(self, now_ns: int, span: Any) -> None:
+        """A request span was opened (``obs.open``)."""
+        tel = self.telemetry
+        if tel is not None:
+            tel.on_open(span)
+        if self._enabled:
+            self.emit(now_ns, "obs.open", span=span)
+
+    def span_closed(self, now_ns: int, span: Any) -> None:
+        """A request span closed (``obs.span``)."""
+        tel = self.telemetry
+        if tel is not None:
+            tel.on_span(span)
+        if self._enabled:
+            self.emit(now_ns, "obs.span", span=span)
+
+    def device_op(self, now_ns: int, device: str, hctx: int, op: str, size: int,
+                  queue_ns: int, service_ns: int) -> None:
+        """One device command was serviced (``obs.device``)."""
+        tel = self.telemetry
+        if tel is not None:
+            tel.on_device(device, op, size, queue_ns, service_ns)
+        if self._enabled:
+            self.emit(now_ns, "obs.device", device=device, hctx=hctx, op=op,
+                      size=size, queue_ns=queue_ns, service_ns=service_ns)
+
+    def fault(self, now_ns: int, category: str, **fields: Any) -> None:
+        """A ``fault.*`` event.  Fault sites call this ungated: injections,
+        retries and crashes are rare, and telemetry must count them even
+        when no sink has enabled the tracer."""
+        tel = self.telemetry
+        if tel is not None:
+            tel.on_fault(category, fields)
+        if self._enabled:
+            self.emit(now_ns, category, **fields)
 
 
 @dataclass
