@@ -10,8 +10,10 @@ cluster while keeping every determinism guarantee intact:
 - :mod:`~repro.cluster.fabric` — the network cost model
   (:class:`FabricCost`) and directed-link topology
   (:class:`NetworkFabric` / :class:`FabricLink`);
-- :mod:`~repro.cluster.routing` — :class:`Route`, the NIC-queue-pair
-  initiator→target path a remote call rides;
+- :mod:`~repro.cluster.routing` — the NIC-queue-pair initiator→target
+  path a remote call rides: a :class:`RemoteRoute` (initiator half) and
+  a :class:`RouteExecutor` (target half) per linked pair, over a
+  shared-clock loopback or the sharded runner's message ports;
 - :mod:`~repro.cluster.kvs` — :class:`HashRing` consistent-hash
   placement and :class:`ShardedKVS`, the replicated cluster-wide
   GenericKVS surface;
@@ -42,7 +44,7 @@ from .fabric import (
 )
 from .kvs import FAILOVER_ERRORS, HashRing, ShardedKVS
 from .node import ClusterClient, Node
-from .routing import Route
+from .routing import RemoteRoute, RouteExecutor
 
 __all__ = [
     "Cluster",
@@ -55,7 +57,8 @@ __all__ = [
     "FabricCost",
     "FabricTransport",
     "DEFAULT_FABRIC_COST",
-    "Route",
+    "RemoteRoute",
+    "RouteExecutor",
     "HashRing",
     "ShardedKVS",
     "FAILOVER_ERRORS",

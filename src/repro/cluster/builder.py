@@ -42,7 +42,7 @@ from ..sim.sanitizer import maybe_attach
 from .fabric import FabricCost, NetworkFabric
 from .kvs import HashRing, ShardedKVS
 from .node import ClusterClient, Node
-from .routing import Route
+from .routing import Loopback, RemoteRoute, linked_peers, wire_pair
 
 __all__ = ["Cluster", "ClusterBuilder", "cluster"]
 
@@ -51,8 +51,14 @@ class Cluster:
     """A set of nodes on one shared clock, wired by a network fabric.
 
     Build through :func:`cluster` / :class:`ClusterBuilder` — that is the
-    public path to multi-node composition; constructing Node or Route by
-    hand skips topology bookkeeping.
+    public path to multi-node composition; constructing a Node or wiring
+    routes by hand skips topology bookkeeping.
+
+    Cross-node calls ride the route halves :func:`~repro.cluster.routing.
+    wire_pair` registers on :attr:`transport`: a
+    :class:`~repro.cluster.routing.Loopback` on the shared clock, or the
+    node's :class:`~repro.sim.par.ParWorld` when the cluster is one
+    node's slice of a sharded run.
     """
 
     def __init__(
@@ -79,7 +85,8 @@ class Cluster:
         self.cost = cost
         self.fabric = NetworkFabric(self.env, fabric_cost)
         self.nodes: dict[str, Node] = {}
-        self._routes: dict[tuple[str, str], Route] = {}
+        #: ingress handlers + the registry of wired route halves
+        self.transport = Loopback(self.env)
         #: service registry: mount path -> owning node name
         self.services: dict[str, str] = {}
         self._clients: list[ClusterClient] = []
@@ -113,29 +120,29 @@ class Cluster:
                 self.fabric.add_link(a, b, cost)
 
     def build_routes(self) -> None:
-        """Instantiate a Route (NIC QP + proxy client) per directed link.
+        """Wire a RemoteRoute + RouteExecutor pair per linked node pair
+        over the shared-clock loopback.
 
-        Setup-time only: each route's proxy connect drives the sim.
-        Routes are created in sorted (src, dst) order so pids and queue
-        ids assign deterministically regardless of declaration order."""
-        for src, dst in sorted(
-            (a, b) for a in self.nodes for b in self.nodes
-            if a != b and self.fabric.connected(a, b)
-        ):
-            if (src, dst) not in self._routes:
-                self._routes[(src, dst)] = Route(
-                    self, self.nodes[src], self.nodes[dst]
-                )
+        Setup-time only: each executor's proxy connect drives the sim.
+        Pairs are wired in sorted order so pids and queue ids assign
+        deterministically regardless of declaration order."""
+        loop, routes = self.transport, self.transport.routes
+        for me in sorted(self.nodes):
+            for peer in linked_peers(me, self.nodes, self.fabric.connected):
+                if (me, peer) not in routes:
+                    wire_pair(loop, self.nodes[me], peer,
+                              self.fabric.link(me, peer), loop.port(me, peer))
         self._built = True
 
-    def route(self, src: str, dst: str) -> Route:
+    def route(self, src: str, dst: str) -> RemoteRoute:
+        routes = self.transport.routes
         try:
-            return self._routes[(src, dst)]
+            return routes[(src, dst)]
         except KeyError:
             hint = (
                 "cluster not built yet — call build()"
                 if not self._built
-                else f"declared routes: {sorted(self._routes)}"
+                else f"declared routes: {sorted(routes)}"
             )
             raise FabricError(f"no route {src}->{dst}; {hint}") from None
 
@@ -240,23 +247,26 @@ class Cluster:
             "fabric": self.fabric.stats(),
             "routes": {
                 f"{s}->{d}": {"remote_calls": r.remote_calls, "nacks": r.nacks}
-                for (s, d), r in sorted(self._routes.items())
+                for (s, d), r in sorted(self.transport.routes.items())
             },
         }
 
     def shutdown(self, drain: bool = True) -> None:
         """Tear the whole cluster down: drain NIC queue pairs, close
-        routes and clients, stop every node's Runtime daemons."""
+        routes, executors and clients, stop every node's Runtime daemons."""
+        routes = [self.transport.routes[k] for k in sorted(self.transport.routes)]
         if drain:
             # a route to a dead node still drains: its in-flight ops ride
             # out the crash window and complete as NACKs
-            for key in sorted(self._routes):
-                self.env.run(self._routes[key].qp.drained())
+            for route in routes:
+                self.env.run(route.qp.drained())
         for c in self._clients:
             c.close()
         self._clients.clear()
-        for key in sorted(self._routes):
-            self._routes[key].close()
+        for route in routes:
+            route.close()
+        for executor in self.transport.executors:
+            executor.close()
         for name in sorted(self.nodes):
             self.nodes[name].shutdown(drain=drain)
         # unwind the just-scheduled interrupts (same dance as
@@ -273,7 +283,7 @@ class Cluster:
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"<Cluster nodes={sorted(self.nodes)} "
-                f"routes={len(self._routes)} built={self._built}>")
+                f"routes={len(self.transport.routes)} built={self._built}>")
 
 
 class _StackScope:
@@ -448,8 +458,13 @@ class ClusterBuilder:
         from .par import ParHandle
 
         # the eagerly-built parent Cluster is discarded unrouted: shard
-        # worlds rebuild their node subset from the frozen spec instead
-        return ParHandle(self._freeze_spec(), shards)
+        # worlds rebuild their node subset from the frozen spec instead;
+        # a one-way link fails here, as it does in build_routes, not
+        # inside a forked shard
+        spec = self._freeze_spec()
+        for name in spec.node_names():
+            spec.peers(name)
+        return ParHandle(spec, shards)
 
 
 def cluster(**kw) -> ClusterBuilder:

@@ -135,9 +135,10 @@ class ClusterClient:
     Local calls go straight through the node's shared-memory queue pair,
     exactly like a standalone LabStorClient.  Remote calls ride the
     home node's NIC queue pair onto the fabric (see
-    :class:`~repro.cluster.routing.Route`): serialize out, execute on
-    the owning node through that route's proxy client, serialize the
-    response back, reap the NIC completion.
+    :class:`~repro.cluster.routing.RemoteRoute`): serialize out, execute
+    on the owning node through its
+    :class:`~repro.cluster.routing.RouteExecutor`'s proxy client,
+    serialize the response back, reap the NIC completion.
 
     Create via :meth:`Cluster.client` during setup — connecting runs the
     IPC handshake with ``env.run``, which must not happen mid-simulation.

@@ -4,12 +4,13 @@ The sharded runner (:mod:`repro.sim.par`) gives every node its own
 private Environment; this module supplies the cluster-side half of that
 bargain.  A :class:`ClusterSpec` is pure data — node declarations, stack
 chains, link costs — from which each world deterministically rebuilds
-*its own node only*.  :class:`ParClusterView` then duck-types the
+*its own node only*.  :class:`ParClusterView` then offers the
 :class:`~repro.cluster.Cluster` surface a driver needs
-(``client()``/``route()``/``owner_of()``/``shard_kvs()``) with
-cross-node calls carried by :class:`~repro.cluster.routing.RemoteRoute`
-/ :class:`~repro.cluster.routing.RouteExecutor` pairs over the runner's
-timestamped message ports instead of a shared proxy client.
+(``client()``/``route()``/``owner_of()``/``shard_kvs()``) on a one-node
+Cluster whose transport is the world: cross-node calls ride the same
+:class:`~repro.cluster.routing.RemoteRoute` /
+:class:`~repro.cluster.routing.RouteExecutor` halves as on a shared
+clock, over the runner's timestamped message ports.
 
 Because a world's construction consults nothing but the spec and its
 own node name, the event stream each node observes is identical whether
@@ -17,16 +18,14 @@ its world shares a process with every other node (``shards=1``) or runs
 alone in a fork — the invariant the byte-identical-digest guarantee
 rests on.
 
-Wiring rule, per bidirectionally-linked pair ``(me, peer)``:
-
-- one egress port ``"me->peer"`` (shared sequence counter);
-- a :class:`RemoteRoute` sending ``("me->peer", req)`` messages and
-  consuming ``("peer->me", resp)`` ingress;
-- a :class:`RouteExecutor` consuming ``("peer->me", req)`` ingress and
-  answering on the same ``"me->peer"`` port — responses share the
-  locally-owned outbound :class:`~repro.cluster.fabric.FabricLink` with
-  this node's own requests, the same wire contention the serial
-  :class:`~repro.cluster.routing.Route` models.
+Wiring rule, per bidirectionally-linked pair ``(me, peer)``, is
+:func:`~repro.cluster.routing.wire_pair`'s, the same as on a shared
+clock: one egress port ``"me->peer"`` (shared sequence counter), a
+RemoteRoute sending ``req`` messages on it and consuming ``resp``
+ingress from ``"peer->me"``, and a RouteExecutor consuming ``req``
+ingress and answering on the same port — responses share the
+locally-owned outbound :class:`~repro.cluster.fabric.FabricLink` with
+this node's own requests.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .builder import Cluster
 from .fabric import DEFAULT_FABRIC_COST, FabricCost, FabricLink
 from .kvs import HashRing, ShardedKVS
 from .node import ClusterClient, Node
-from .routing import RemoteRoute, RouteExecutor
+from .routing import RemoteRoute, linked_peers, wire_pair
 
 __all__ = [
     "StackDecl", "NodeDecl", "LinkDecl", "ClusterSpec", "ParClusterView",
@@ -129,18 +128,25 @@ class ClusterSpec:
             return None
         return min(c.link_lat_ns for c in links.values())
 
+    def peers(self, me: str) -> list[str]:
+        """The nodes ``me`` wires a route pair to (one-way links raise,
+        as on a shared clock)."""
+        links = self.directed_links()
+        return linked_peers(me, self.node_names(),
+                            lambda a, b: (a, b) in links)
+
 
 # ----------------------------------------------------------------------
 # the per-world view
 # ----------------------------------------------------------------------
 class ParClusterView:
-    """One node's local slice of the cluster, duck-typing the Cluster
-    surface drivers and :class:`ShardedKVS` consume.
+    """One node's local slice of the cluster: the :class:`Cluster`
+    surface drivers and :class:`ShardedKVS` consume, served by a one-node
+    Cluster whose transport is the world.
 
-    The backing :class:`Cluster` holds exactly one node; its RngRegistry
-    is seeded from the spec, and because every stream a node draws is
-    qualified by the node's name, local draws are independent of which
-    other nodes share the process.
+    The backing Cluster's RngRegistry is seeded from the spec, and
+    because every stream a node draws is qualified by the node's name,
+    local draws are independent of which other nodes share the process.
     """
 
     def __init__(self, spec: ClusterSpec, world) -> None:
@@ -148,20 +154,16 @@ class ParClusterView:
         self.world = world
         self.env = world.env
         self.node_name = world.node_name
-        #: mount path -> owning node name, over the WHOLE spec
-        self.services: dict[str, str] = {}
-        self._routes: dict[tuple[str, str], RemoteRoute] = {}
-        self._executors: list[RouteExecutor] = []
-        self._clients: list[ClusterClient] = []
         self.cluster: Optional[Cluster] = None
         self.node: Optional[Node] = None
 
     # -- construction --------------------------------------------------
     def build_local(self) -> "ParClusterView":
-        spec, me = self.spec, self.node_name
+        spec, me, world = self.spec, self.node_name, self.world
         decl = spec.node(me)
         cl = Cluster(seed=spec.seed, cost=spec.cost,
                      fabric_cost=spec.fabric_cost, env=self.env)
+        cl.transport = world
         self.cluster = cl
         self.node = cl.add_node(
             me, devices=decl.devices, config=decl.config,
@@ -172,52 +174,25 @@ class ParClusterView:
             for meth, a, kw in sd.calls:
                 sb = getattr(sb, meth)(*a, **kw)
             sb.mount()
+        # the service registry spans the WHOLE spec
         for d in spec.nodes:
             for sd in d.stacks:
-                self.services[sd.mount] = d.name
-        directed = spec.directed_links()
-        for (src, dst), cost in sorted(directed.items()):
+                cl.services[sd.mount] = d.name
+        for (src, dst), cost in sorted(spec.directed_links().items()):
             if src == me:
                 cl.fabric.add_link(src, dst, cost, bidirectional=False)
         cl._built = True  # sharding is legal once topology is frozen
-        env = self.env
-        for peer in sorted(d.name for d in spec.nodes if d.name != me):
-            if (me, peer) not in directed or (peer, me) not in directed:
-                continue
-            port = self.world.out_port(peer)
-            out = cl.fabric.link(me, peer)
-            route = RemoteRoute(env, me, peer, out, port)
-            self.world.on_message(f"{peer}->{me}", "resp", route.deliver)
-            self.world.register_route(route)
-            self._routes[(me, peer)] = route
-            executor = RouteExecutor(env, peer, self.node, out, port)
-            self.world.on_message(f"{peer}->{me}", "req", executor.deliver)
-            self.world.register_executor(executor)
-            self._executors.append(executor)
+        for peer in spec.peers(me):
+            wire_pair(world, self.node, peer, cl.fabric.link(me, peer),
+                      world.out_port(peer))
         return self
 
     # -- Cluster surface -----------------------------------------------
     def route(self, src: str, dst: str) -> RemoteRoute:
-        try:
-            return self._routes[(src, dst)]
-        except KeyError:
-            raise FabricError(
-                f"no route {src}->{dst} on node {self.node_name!r}; "
-                f"local routes: {sorted(self._routes)}"
-            ) from None
+        return self.cluster.route(src, dst)
 
     def owner_of(self, path: str) -> str:
-        best = None
-        for mount, owner in self.services.items():
-            if path == mount or path.startswith(mount):
-                if best is None or len(mount) > len(best[0]):
-                    best = (mount, owner)
-        if best is None:
-            raise LabStorError(
-                f"no cluster service owns {path!r}; "
-                f"registered: {sorted(self.services)}"
-            )
-        return best[1]
+        return self.cluster.owner_of(path)
 
     def client(self, node: Optional[str] = None,
                ordered: bool = True) -> ClusterClient:
@@ -225,9 +200,7 @@ class ParClusterView:
             raise FabricError(
                 f"a sharded-runner client homes on its own world; this is "
                 f"{self.node_name!r}, not {node!r}")
-        c = ClusterClient(self, self.node, ordered=ordered)
-        self._clients.append(c)
-        return c
+        return self.cluster.client(self.node_name, ordered=ordered)
 
     def shard_kvs(
         self,
@@ -278,36 +251,16 @@ class ParClusterView:
         return self.env.process(gen, **kw)
 
     def stats(self) -> dict:
-        return {
-            "node": {"online": self.node.online,
-                     "domain": self.node.failure_domain},
-            "fabric": self.cluster.fabric.stats(),
-            "routes": {
-                f"{s}->{d}": {"remote_calls": r.remote_calls,
-                              "nacks": r.nacks}
-                for (s, d), r in sorted(self._routes.items())
-            },
-        }
+        st = self.cluster.stats()
+        return {"node": st["nodes"][self.node_name], "fabric": st["fabric"],
+                "routes": st["routes"]}
 
     def shutdown(self, drain: bool = True) -> None:
-        env = self.env
-        if drain:
-            for key in sorted(self._routes):
-                env.run(self._routes[key].qp.drained())
-        for c in self._clients:
-            c.close()
-        self._clients.clear()
-        for key in sorted(self._routes):
-            self._routes[key].close()
-        for ex in self._executors:
-            ex.close()
-        self.node.shutdown(drain=drain)
-        while (env._urgent or env._due or env._heap) and env.peek() <= env.now:
-            env.step()
+        self.cluster.shutdown(drain=drain)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"<ParClusterView {self.node_name!r} "
-                f"routes={sorted(self._routes)}>")
+                f"routes={sorted(self.world.routes)}>")
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +317,10 @@ def failover_story(kvs, env, seed: int, nkeys: int):
     return hits
 
 
-def assert_nic_conservation(view) -> None:
-    """Every NIC queue pair of a view (or serial Cluster) drained."""
-    for (s, d), r in sorted(view._routes.items()):
+def assert_nic_conservation(cl: Cluster) -> None:
+    """Every NIC queue pair of a cluster (or a view's one-node slice)
+    drained."""
+    for (s, d), r in sorted(cl.transport.routes.items()):
         qp = r.qp
         assert qp.submitted_total == qp.completed_total, (
             f"{s}->{d}: NIC conservation broken after shutdown "
@@ -414,16 +368,15 @@ class ClusterParProgram(SpecParProgram):
         out = {
             "node": view.node_name,
             "online": view.node.online,
-            "remote_calls": sum(r.remote_calls
-                                for r in view._routes.values()),
-            "nacks": sum(r.nacks for r in view._routes.values()),
-            "handled": sum(x.handled for x in view._executors),
+            "remote_calls": sum(r.remote_calls for r in world.routes.values()),
+            "nacks": sum(r.nacks for r in world.routes.values()),
+            "handled": sum(x.handled for x in world.executors),
         }
         if view.hits is not None:
             out["hits"] = view.hits
             out["failovers"] = view.kvs.failovers
         view.shutdown()
-        assert_nic_conservation(view)
+        assert_nic_conservation(view.cluster)
         return out
 
     def reduce(self, results: dict) -> dict:
@@ -478,16 +431,11 @@ class ControlParProgram(Program):
             duration_ns=self.duration_ns,
         )
         peer = self.names[1 - idx]
-        link = FabricLink(world.env, me, peer, self._cost)
-        port = world.out_port(peer)
-        route = RemoteRoute(world.env, me, peer, link, port)
-        world.on_message(f"{peer}->{me}", "resp", route.deliver)
-        world.register_route(route)
         host = SimpleNamespace(name=me, runtime=system.runtime,
                                client=system.client)
-        executor = RouteExecutor(world.env, peer, host, link, port)
-        world.on_message(f"{peer}->{me}", "req", executor.deliver)
-        world.register_executor(executor)
+        route, executor = wire_pair(
+            world, host, peer, FabricLink(world.env, me, peer, self._cost),
+            world.out_port(peer))
         return SimpleNamespace(system=system, engine=engine, daemon=daemon,
                                route=route, executor=executor, me=me,
                                summary=None, cross=None)
@@ -623,15 +571,14 @@ class E14ParProgram(SpecParProgram):
         out = {
             "node": view.node_name,
             "virtual_ns": view.env.now,
-            "remote_calls": sum(r.remote_calls
-                                for r in view._routes.values()),
-            "nacks": sum(r.nacks for r in view._routes.values()),
+            "remote_calls": sum(r.remote_calls for r in world.routes.values()),
+            "nacks": sum(r.nacks for r in world.routes.values()),
             "fabric_bytes": sum(
                 s["bytes"] for s in view.cluster.fabric.stats().values()),
             "failovers": view.kvs.failovers,
         }
         view.shutdown()
-        assert_nic_conservation(view)
+        assert_nic_conservation(view.cluster)
         return out
 
     def reduce(self, results: dict) -> dict:

@@ -1,25 +1,33 @@
 """Cross-node call routing: NIC queue pairs over fabric links.
 
-One :class:`Route` exists per directed, linked node pair.  Its anatomy
-mirrors a real RDMA/NVMe-oF initiator-target path, built entirely from
-existing primitives:
+One route exists per bidirectionally linked node pair, split into two
+halves that :func:`wire_pair` builds together.  Its anatomy mirrors a
+real RDMA/NVMe-oF initiator-target path, built entirely from existing
+primitives:
 
-1. the initiator submits a :class:`_RemoteOp` envelope to the route's
-   **NIC queue pair** — an unordered private-memory
-   :class:`~repro.ipc.QueuePair` whose pop cost is the NIC's WQE fetch
-   (``nic_tx_ns``) and whose ``owner`` names the route, so a sanitizer
-   conservation failure says *which node's* NIC leaked;
-2. the TX loop pops the envelope, pays the request's serialization +
-   propagation on the outbound :class:`~repro.cluster.fabric.FabricLink`,
-   and executes the request on the target node through the route's
-   **proxy client** (an ordinary unordered LabStorClient connected to
-   the target's Runtime at setup);
-3. the response pays the return link, then the envelope completes on
-   the NIC QP — **always**, as an error completion (NACK) when anything
-   failed, so ``submitted == completed + inflight`` holds through node
-   crashes, timeouts, and unresolvable mounts;
-4. the RX loop reaps completions (``nic_rx_ns`` per reap) and fires the
-   initiator's pending event.
+1. the initiator submits a :class:`_RemoteOp` envelope to the
+   :class:`RemoteRoute`'s **NIC queue pair** — an unordered
+   private-memory :class:`~repro.ipc.QueuePair` whose pop cost is the
+   NIC's WQE fetch (``nic_tx_ns``) and whose ``owner`` names the route,
+   so a sanitizer conservation failure says *which node's* NIC leaked;
+2. the TX loop pops the envelope, pays the request's serialization on
+   the outbound :class:`~repro.cluster.fabric.FabricLink` and sends it,
+   pickled, as a message that arrives ``link_lat_ns`` after wire release;
+3. the target's :class:`RouteExecutor` executes it through an ordinary
+   unordered **proxy client** (connected to the target's Runtime at
+   setup) and sends the response — the value, or the pickled error as a
+   NACK — back over its own outbound link;
+4. the response completes the envelope on the NIC QP — **always**, ACK
+   or NACK, so ``submitted == completed + inflight`` holds through node
+   crashes, timeouts and unresolvable mounts — and the RX loop reaps it
+   (``nic_rx_ns`` per reap) and fires the initiator's pending event.
+
+The halves only meet through a port's ``send(kind, arrival_ns, req_id,
+nbytes, payload)`` and the ingress handlers a transport calls at
+``arrival_ns``.  There are two transports and one route: a
+:class:`Loopback` delivers on the shared clock of a
+:class:`~repro.cluster.Cluster`, and a :class:`~repro.sim.par.ParWorld`
+carries the message across a window barrier to another node's world.
 
 Target-node crashes surface naturally: the proxy client's Wait rides
 out the crash window and raises :class:`~repro.errors.RuntimeCrashed`,
@@ -30,17 +38,16 @@ which comes back to the caller as the NACK payload — the signal
 from __future__ import annotations
 
 import pickle
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Callable, Optional
 
+from ..core import requests as _corereq
 from ..errors import FabricError
 from ..ipc.queue_pair import Completion, QueuePair
 from ..sim import Event, Interrupt
+from ..sim.par import Endpoint, ParMessage
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .builder import Cluster
-    from .node import Node
-
-__all__ = ["Route", "RemoteRoute", "RouteExecutor"]
+__all__ = ["RemoteRoute", "RouteExecutor", "Loopback", "LoopbackPort",
+           "wire_pair", "linked_peers", "pickle_error"]
 
 #: fixed wire overhead per message: headers, op code, key framing
 WIRE_HEADER_BYTES = 64
@@ -60,9 +67,9 @@ def request_wire_bytes(req: Any) -> int:
     return WIRE_HEADER_BYTES + sum(_payload_bytes(v) for v in payload.values())
 
 
-def response_wire_bytes(comp: Completion) -> int:
+def response_wire_bytes(value: Any) -> int:
     """On-the-wire size of a response (errors are header-sized NACKs)."""
-    return WIRE_HEADER_BYTES + _payload_bytes(comp.value)
+    return WIRE_HEADER_BYTES + _payload_bytes(value)
 
 
 class _RemoteOp:
@@ -77,127 +84,15 @@ class _RemoteOp:
         self.est_ns = 0  # queue-depth estimator input (NIC QPs don't classify)
 
 
-class Route:
-    """One directed initiator→target path (built by the Cluster)."""
-
-    def __init__(self, cluster: "Cluster", src: "Node", dst: "Node") -> None:
-        env = cluster.env
-        self.env = env
-        self.src = src
-        self.dst = dst
-        self.out = cluster.fabric.link(src.name, dst.name)
-        self.back = cluster.fabric.link(dst.name, src.name)
-        self.qp = QueuePair(
-            env,
-            primary=False,
-            ordered=False,
-            depth=4096,
-            segment=None,
-            pop_cost_ns=self.out.cost.nic_tx_ns,
-            owner=f"fabric:{src.name}->{dst.name}",
-        )
-        # target-side execution identity: one unordered client per route,
-        # connected at setup (connect drives the sim; mid-run would break)
-        self.proxy = dst.client(ordered=False)
-        self._pending: dict[int, Event] = {}  # req_id -> initiator event
-        self.remote_calls = 0
-        self.nacks = 0
-        self._tx = env.process(
-            self._tx_loop(), name=f"nic.{src.name}->{dst.name}.tx", daemon=True
-        )
-        self._rx = env.process(
-            self._rx_loop(), name=f"nic.{src.name}->{dst.name}.rx", daemon=True
-        )
-
-    # -- initiator side ------------------------------------------------
-    def call(self, path: str, req: Any, timeout_ns: int | None = None):
-        """Process generator: one remote call, raising the remote error."""
-        ev = self.env.event()
-        self._pending[req.req_id] = ev
-        try:
-            self.qp.submit(_RemoteOp(path, req, timeout_ns))
-            comp = yield ev
-        except BaseException:
-            self._pending.pop(req.req_id, None)
-            raise
-        if comp.error is not None:
-            raise comp.error
-        return comp.value
-
-    # -- NIC loops -------------------------------------------------------
-    def _tx_loop(self):
-        try:
-            while True:
-                op = yield from self.qp.pop_request()  # pays the WQE fetch
-                # each op executes in its own process so a slow or crashed
-                # target never head-of-line blocks the NIC
-                self.env.process(
-                    self._execute(op),
-                    name=f"nic.{self.src.name}->{self.dst.name}.op{op.req.req_id}",
-                    daemon=True,
-                )
-        except Interrupt:
-            return  # route closed
-
-    def _execute(self, op: _RemoteOp):
-        self.remote_calls += 1
-        req = op.req
-        try:
-            yield from self.out.transfer(request_wire_bytes(req))
-            stack, _ = self.dst.runtime.namespace.resolve(op.path)
-            value = yield from self.proxy.call(stack, req, timeout_ns=op.timeout_ns)
-            comp = Completion(req, value=value)
-        except (Interrupt, GeneratorExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - becomes the NACK
-            self.nacks += 1
-            comp = Completion(req, error=exc)
-        try:
-            yield from self.back.transfer(response_wire_bytes(comp))
-        except (Interrupt, GeneratorExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - return path failed
-            if comp.error is None:
-                self.nacks += 1
-                comp = Completion(req, error=exc)
-        # conservation: every accepted submission completes, ack or NACK
-        self.qp.complete(comp)
-
-    def _rx_loop(self):
-        try:
-            while True:
-                comp = yield from self.qp.pop_completion()  # pays nic_rx-ish reap
-                ev = self._pending.pop(comp.request.req_id, None)
-                if ev is not None and not ev.triggered:
-                    ev.succeed(comp)
-        except Interrupt:
-            return  # route closed
-
-    # -- lifecycle -------------------------------------------------------
-    def close(self) -> None:
-        for proc in (self._tx, self._rx):
-            if proc is not None and proc.is_alive:
-                proc.interrupt("route closed")
-        self._tx = self._rx = None
-        self.proxy.close()
-        self._pending.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (f"<Route {self.src.name}->{self.dst.name} "
-                f"calls={self.remote_calls} nacks={self.nacks}>")
-
-
-# ----------------------------------------------------------------------
-# split route halves for the sharded runner (repro.sim.par)
-# ----------------------------------------------------------------------
 def pickle_error(exc: BaseException) -> bytes:
     """Pickle a remote failure, verified round-trippable.
 
     Exception classes whose ``__init__`` signatures don't survive the
     default ``(cls, args)`` reconstruction (or that drag unpicklable
     context along) degrade to a :class:`FabricError` carrying the type
-    name and message — the failover-relevant classes (TimeoutError,
-    RuntimeCrashed, WorkerCrashed, ...) all round-trip intact.
+    name and message.  Every :mod:`repro.errors` class round-trips
+    intact: the failover-relevant ones (TimeoutError, RuntimeCrashed,
+    WorkerCrashed, ...) and the application verdicts (FsError's ENOENT).
     """
     try:
         blob = pickle.dumps(exc)
@@ -209,18 +104,14 @@ def pickle_error(exc: BaseException) -> bytes:
 
 
 class RemoteRoute:
-    """Initiator half of a :class:`Route` when source and target live on
-    different Environments (the sharded runner).
+    """Initiator half of a route: the NIC queue pair, the TX
+    serialization on the outbound link and the RX completion reap, all on
+    the *source* node's env.
 
-    The NIC queue pair, the TX serialization on the outbound link, and
-    the RX completion reap all stay on the *source* env — byte-identical
-    cost structure to :class:`Route`.  What changes is step 2→3 of the
-    anatomy: instead of executing through a shared proxy client, the
-    request is pickled onto an egress port as a timestamped message whose
-    arrival is ``wire release + link_lat_ns``; the response comes back
-    the same way and completes the queue pair (ACK or NACK) so NIC
-    conservation holds across node crashes exactly as in the serial
-    route.
+    The request leaves as a pickled, timestamped message whose arrival is
+    ``wire release + link_lat_ns``; the response comes back the same way
+    and completes the queue pair (ACK or NACK), so NIC conservation holds
+    across node crashes.
     """
 
     def __init__(self, env, src_name: str, dst_name: str, out, port) -> None:
@@ -228,7 +119,7 @@ class RemoteRoute:
         self.src_name = src_name
         self.dst_name = dst_name
         self.out = out          # FabricLink src->dst (owned by this env)
-        self.port = port        # egress port toward dst (sim.par.OutPort)
+        self.port = port        # egress port toward dst (OutPort / LoopbackPort)
         self.qp = QueuePair(
             env,
             primary=False,
@@ -334,10 +225,10 @@ class RouteExecutor:
     locally-owned return link.
 
     Requests are re-identified from the local process's request-id
-    counter on arrival: wire ids from different source nodes come from
-    independent counters and may collide inside one worker's active map,
-    while the response still travels under the wire id the initiator is
-    waiting on.
+    counter on arrival: under the sharded runner, wire ids from different
+    source nodes come from independent counters and may collide inside
+    one worker's active map, while the response still travels under the
+    wire id the initiator is waiting on.
     """
 
     def __init__(self, env, src_name: str, dst_node, back, port) -> None:
@@ -360,8 +251,6 @@ class RouteExecutor:
         )
 
     def _handle(self, msg):
-        from ..core import requests as _corereq
-
         self.active += 1
         try:
             path, req, timeout_ns = pickle.loads(msg.payload)
@@ -376,7 +265,7 @@ class RouteExecutor:
             except BaseException as exc:  # noqa: BLE001 - becomes the NACK
                 self.nacks += 1
                 body = (None, pickle_error(exc))
-            nbytes = WIRE_HEADER_BYTES + _payload_bytes(body[0])
+            nbytes = response_wire_bytes(body[0])
             arrival = yield from self.back.send(nbytes)
             self.port.send("resp", arrival, msg.req_id, nbytes,
                            pickle.dumps(body))
@@ -390,3 +279,84 @@ class RouteExecutor:
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"<RouteExecutor {self.src_name}->{self.node.name} "
                 f"handled={self.handled} active={self.active}>")
+
+
+# ----------------------------------------------------------------------
+# the shared-clock transport and the one wiring recipe
+# ----------------------------------------------------------------------
+class LoopbackPort:
+    """Egress port between two nodes on one Environment.
+
+    Same ``send`` signature as :class:`~repro.sim.par.OutPort`, but there
+    is no barrier to wait for: the message is scheduled straight into the
+    peer's ingress handler at ``arrival_ns`` on the shared clock.
+    """
+
+    __slots__ = ("loopback", "name", "seq")
+
+    def __init__(self, loopback: "Loopback", name: str) -> None:
+        self.loopback = loopback
+        self.name = name
+        self.seq = 0
+
+    def send(self, kind: str, arrival_ns: int, req_id: int, nbytes: int,
+             payload: bytes) -> ParMessage:
+        self.seq += 1
+        msg = ParMessage(self.name, self.seq, kind, req_id, arrival_ns,
+                         nbytes, payload)
+        self.loopback.deliver_at(msg)
+        return msg
+
+
+class Loopback(Endpoint):
+    """The transport of a :class:`~repro.cluster.Cluster` whose nodes
+    share one clock: ingress handlers and the registry of wired route
+    halves, with :class:`LoopbackPort` egress."""
+
+    def port(self, src: str, dst: str) -> LoopbackPort:
+        return LoopbackPort(self, f"{src}->{dst}")
+
+
+def linked_peers(me: str, names, connected: Callable[[str, str], bool]) -> list[str]:
+    """The peers ``me`` wires a route pair to, in sorted order.
+
+    A route needs both directions — requests ride ``me->peer`` and the
+    responses ride ``peer->me`` — so a one-way link raises rather than
+    leaving a pair half-wired or silently unrouted.
+    """
+    peers = []
+    for peer in sorted(names):
+        if peer == me:
+            continue
+        there, back = connected(me, peer), connected(peer, me)
+        if there != back:
+            src, dst = (peer, me) if there else (me, peer)
+            raise FabricError(
+                f"no fabric link {src}->{dst}; a route needs a link in "
+                f"both directions")
+        if there:
+            peers.append(peer)
+    return peers
+
+
+def wire_pair(endpoint: Endpoint, host, peer: str, out, port
+              ) -> tuple[RemoteRoute, RouteExecutor]:
+    """Wire ``host``'s side of the bidirectional pair ``(host, peer)``.
+
+    ``out`` is the ``host->peer`` link and ``port`` the egress port
+    toward ``peer``: the :class:`RemoteRoute` sends requests on them and
+    the :class:`RouteExecutor` answers the peer's requests on them, so
+    responses contend for the wire with this node's own requests.  Both
+    halves take their ingress from ``"peer->host"`` and are registered on
+    ``endpoint`` — a :class:`Loopback` or a :class:`~repro.sim.par.ParWorld`.
+    Setup-time only: the executor's proxy client connect drives the sim.
+    """
+    me = host.name
+    env = endpoint.env
+    route = RemoteRoute(env, me, peer, out, port)
+    endpoint.on_message(f"{peer}->{me}", "resp", route.deliver)
+    endpoint.register_route(route)
+    executor = RouteExecutor(env, peer, host, out, port)
+    endpoint.on_message(f"{peer}->{me}", "req", executor.deliver)
+    endpoint.register_executor(executor)
+    return route, executor

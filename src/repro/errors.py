@@ -45,6 +45,19 @@ class FsError(KernelError):
     def __init__(self, errno_name: str, message: str) -> None:
         super().__init__(f"[{errno_name}] {message}")
         self.errno_name = errno_name
+        self.message = message
+
+    def __reduce__(self):
+        # the default (cls, args) rebuild would call cls(str(self)), which
+        # neither FsError's nor a subclass's signature accepts
+        return (_rebuild_fs_error, (type(self), self.errno_name, self.message),
+                self.__dict__)
+
+
+def _rebuild_fs_error(cls: type, errno_name: str, message: str) -> FsError:
+    exc = cls.__new__(cls)
+    FsError.__init__(exc, errno_name, message)
+    return exc
 
 
 class PermissionDenied(FsError):

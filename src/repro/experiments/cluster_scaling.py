@@ -96,7 +96,7 @@ def run_cluster_scaling(
     elapsed_ns = cl.env.now - t0
     total_ops = nclients * ops_per_client * 2
     fabric_bytes = sum(s["bytes"] for s in cl.fabric.stats().values())
-    remote_calls = sum(r.remote_calls for r in cl._routes.values())
+    remote_calls = sum(r.remote_calls for r in cl.transport.routes.values())
     cl.shutdown()
     return {
         "nnodes": nnodes,

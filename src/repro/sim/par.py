@@ -56,6 +56,7 @@ __all__ = [
     "Program",
     "ParMessage",
     "OutPort",
+    "Endpoint",
     "TraceCollector",
     "ParWorld",
     "ShardHost",
@@ -234,7 +235,56 @@ class _Deliver:
         self.fn(self.msg)
 
 
-class ParWorld:
+class Endpoint:
+    """One transport's ingress side: handlers keyed by ``(port, kind)``,
+    plus the route halves wired onto them.
+
+    :class:`ParWorld` is the endpoint of one node's private world; the
+    cluster's shared-clock loopback (:class:`repro.cluster.routing.
+    Loopback`) is the endpoint of every node on one Environment.  The
+    registered routes and executors answer the termination questions
+    (calls awaiting a response, requests being served).
+    """
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self._ingress: dict[tuple[str, str], Callable[[ParMessage], None]] = {}
+        self.routes: dict[tuple[str, str], Any] = {}  # (src, dst) -> RemoteRoute
+        self.executors: list[Any] = []                # RouteExecutor-likes
+
+    def on_message(self, port: str, kind: str,
+                   handler: Callable[[ParMessage], None]) -> None:
+        key = (port, kind)
+        if key in self._ingress:
+            raise SimulationError(f"duplicate ingress handler for {key}")
+        self._ingress[key] = handler
+
+    def register_route(self, route) -> None:
+        self.routes[(route.src_name, route.dst_name)] = route
+
+    def register_executor(self, executor) -> None:
+        self.executors.append(executor)
+
+    def deliver_at(self, msg: ParMessage) -> None:
+        """Schedule ``msg``'s ingress handler at its arrival time."""
+        env = self.env
+        handler = self._ingress.get((msg.port, msg.kind))
+        if handler is None:
+            raise SimulationError(
+                f"no ingress handler for {msg.port}/{msg.kind}")
+        env.timeout(msg.arrival_ns - env._now).callbacks.append(
+            _Deliver(handler, msg))
+
+    @property
+    def inflight(self) -> int:
+        return sum(r.inflight for r in self.routes.values())
+
+    @property
+    def active(self) -> int:
+        return sum(x.active for x in self.executors)
+
+
+class ParWorld(Endpoint):
     """One node's private universe: Environment, egress ports, ingress
     handlers, driver processes, and the trace collector.
 
@@ -251,7 +301,7 @@ class ParWorld:
         # private identity counters: id draws must depend only on THIS
         # world's history, not on co-resident worlds' (see CounterScope)
         self.scope = CounterScope()
-        self.env = Environment()
+        super().__init__(Environment())
         self.collector: Optional[TraceCollector] = None
         if trace:
             self.collector = TraceCollector(node_name)
@@ -259,9 +309,6 @@ class ParWorld:
             t.add_sink(self.collector)
             t.obs = True
         self._ports: dict[str, OutPort] = {}
-        self._ingress: dict[tuple[str, str], Callable[[ParMessage], None]] = {}
-        self.routes: list[Any] = []       # RemoteRoute-likes (.inflight)
-        self.executors: list[Any] = []    # RouteExecutor-likes (.active)
         self.drivers: list[Any] = []
         self.ctx: Any = None
 
@@ -272,19 +319,6 @@ class ParWorld:
         if port is None:
             port = self._ports[name] = OutPort(self, name)
         return port
-
-    def on_message(self, port: str, kind: str,
-                   handler: Callable[[ParMessage], None]) -> None:
-        key = (port, kind)
-        if key in self._ingress:
-            raise SimulationError(f"duplicate ingress handler for {key}")
-        self._ingress[key] = handler
-
-    def register_route(self, route) -> None:
-        self.routes.append(route)
-
-    def register_executor(self, executor) -> None:
-        self.executors.append(executor)
 
     # -- lifecycle (driven by ShardHost) -------------------------------
     def build(self) -> None:
@@ -312,17 +346,11 @@ class ParWorld:
     def inject(self, messages) -> None:
         env = self.env
         for msg in sorted(messages, key=lambda m: (m.arrival_ns, m.port, m.seq)):
-            handler = self._ingress.get((msg.port, msg.kind))
-            if handler is None:
-                raise SimulationError(
-                    f"node {self.node_name!r}: no ingress handler for "
-                    f"{msg.port}/{msg.kind}")
-            delay = msg.arrival_ns - env._now
-            if delay <= 0:
+            if msg.arrival_ns <= env._now:
                 raise SimulationError(
                     f"lookahead violated: {msg!r} arrives at {msg.arrival_ns} "
                     f"but node {self.node_name!r} is already at {env._now}")
-            env.timeout(delay).callbacks.append(_Deliver(handler, msg))
+            self.deliver_at(msg)
 
     def run_window(self, until_window: int) -> None:
         self.scope.activate()
@@ -341,14 +369,6 @@ class ParWorld:
     @property
     def drivers_done(self) -> bool:
         return all(not p.is_alive for p in self.drivers)
-
-    @property
-    def inflight(self) -> int:
-        return sum(r.inflight for r in self.routes)
-
-    @property
-    def active(self) -> int:
-        return sum(x.active for x in self.executors)
 
     def finish(self) -> Any:
         self.scope.activate()

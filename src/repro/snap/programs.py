@@ -395,7 +395,7 @@ class ClusterProgram(Program):
         assert hits == self.nkeys, f"failover reads lost keys ({hits}/{self.nkeys})"
         assert not cl.nodes["b"].online, "power cut never fired"
         assert kvs.failovers > 0, "no replica branch ever failed over"
-        remote = sum(r.remote_calls for r in cl._routes.values())
+        remote = sum(r.remote_calls for r in cl.transport.routes.values())
         assert remote > 0, "no call ever crossed the fabric"
         stats = cl.stats()
         cl.shutdown()
@@ -404,7 +404,7 @@ class ClusterProgram(Program):
             "hits": hits,
             "remote_calls": remote,
             "failovers": kvs.failovers,
-            "nacks": sum(r.nacks for r in cl._routes.values()),
+            "nacks": sum(r.nacks for r in cl.transport.routes.values()),
             "fabric": stats["fabric"],
         }
 

@@ -184,6 +184,14 @@ class TestClusterBuilder:
             cl.route("a", "c")
         cl.shutdown()
 
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_one_way_link_rejected_in_both_models(self, shards):
+        b = (cluster()
+             .node("a").node("b").node("c")
+             .link("a", "b", bidirectional=False).link("a", "c"))
+        with pytest.raises(FabricError, match="no fabric link b->a"):
+            b.build(shards=shards)
+
     def test_link_unknown_node_rejected(self):
         b = cluster().node("a")
         with pytest.raises(FabricError, match="unknown node 'z'"):
@@ -251,6 +259,36 @@ class TestRouting:
         # conservation holds even for the failed op
         assert route.qp.submitted_total == route.qp.completed_total
         cl.shutdown()
+
+    def test_every_repro_error_survives_the_wire(self):
+        """A NACK carries the remote error pickled: its type, message and
+        errno must arrive intact (ENOENT is an application verdict, not
+        a fabric failure)."""
+        import inspect
+        import pickle
+
+        from repro import errors
+        from repro.cluster.routing import pickle_error
+
+        made = {
+            errors.FsError: errors.FsError("ENOENT", "no key 'k'"),
+            errors.PermissionDenied: errors.PermissionDenied(),
+            errors.DeviceError: errors.DeviceError("bad lba", device="nvme0"),
+            errors.OutOfSpaceError: errors.OutOfSpaceError("full", device="d"),
+            errors.MediaError: errors.MediaError("EIO", device="d"),
+        }
+        classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                   if issubclass(c, BaseException) and c.__module__ == errors.__name__]
+        assert errors.FsError in classes and len(classes) > 20
+        for cls in classes:
+            exc = made.get(cls) or cls(f"{cls.__name__} happened")
+            back = pickle.loads(pickle_error(exc))
+            assert type(back) is cls
+            assert str(back) == str(exc)
+            assert getattr(back, "errno_name", None) == getattr(exc, "errno_name", None)
+            assert getattr(back, "device", None) == getattr(exc, "device", None)
+        assert str(pickle.loads(pickle_error(errors.PermissionDenied()))) == (
+            "[EACCES] permission denied")
 
     def test_local_call_never_touches_the_fabric(self):
         cl = (

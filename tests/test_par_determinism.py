@@ -70,6 +70,37 @@ def test_e14_program_digest_and_results_shard_invariant():
             assert snap == base, f"shards={shards} diverged from serial"
 
 
+class _WindowedE14(E14ParProgram):
+    """E14 with a chosen window width, stamping each client's completion."""
+
+    def __init__(self, window_ns, **kw):
+        super().__init__(0, **kw)
+        self.window_ns = window_ns
+        self.done_ns = {}
+
+    def lookahead_ns(self):
+        return self.window_ns
+
+    def _loop(self, kvs, i):
+        yield from super()._loop(kvs, i)
+        self.done_ns[i] = kvs.env.now
+
+
+def test_client_completions_independent_of_window_width():
+    """Halving the window only adds barriers: no client op may finish at a
+    different virtual time.  (Per-neighbour windows rely on this.)"""
+    done = {}
+    for div in (1, 2):
+        link = 1500
+        prog = _WindowedE14(link // div, nnodes=2, nclients=16,
+                            ops_per_client=8, link_lat_ns=link)
+        res = run_program(prog, shards=1)
+        assert res.lookahead_ns == link // div
+        done[div] = (prog.done_ns, res.reduced["remote_calls"])
+    assert len(done[1][0]) == 16 and done[1][1] > 0
+    assert done[2] == done[1]
+
+
 def test_until_window_semantics():
     env = Environment()
     with pytest.raises(SimulationError):
